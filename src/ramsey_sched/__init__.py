@@ -9,7 +9,6 @@ from .bayes import (
     ZeroEvidence,
     bayes_update,
     binary_entropy,
-    default_grid,
     distribution_from_density,
     entropy,
     expected_posterior_functional,

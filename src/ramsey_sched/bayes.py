@@ -75,11 +75,6 @@ class FieldGrid:
         return float(self.trapz_weights @ values)
 
 
-def default_grid() -> FieldGrid:
-    """The default working grid: [-20, 20] at 2**14 points."""
-    return FieldGrid(-20.0, 20.0, 2**14)
-
-
 @dataclass(frozen=True)
 class FieldDistribution:
     """A normalized probability density sampled on a :class:`FieldGrid`.

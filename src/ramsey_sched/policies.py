@@ -9,9 +9,31 @@ product grid, geometric in tau so that halving sequences land on grid
 anchors, uniform in theta.
 
 Ties (values within ``TIE_TOL`` of the optimum) resolve to the smallest
-tau, then the smallest theta.  The information objective is invariant
-under theta -> theta + pi (relabelling the two outcomes), so optima come
-in pairs; the tie rule canonically picks the representative below pi.
+tau, then the smallest theta.  Both objectives are invariant under
+theta -> theta + pi (relabelling the two outcomes), so optima come in
+pairs; the tie rule canonically picks the representative below pi.
+
+The two matrix kernels give the values of the scalar
+``bayes.mutual_information`` and ``bayes.expected_posterior_functional``
+cell by cell, up to float roundoff:
+
+- On an even theta grid only the thetas below pi are scored and their
+  columns are copied to theta + pi; an odd grid has no such partners and
+  is scored in full.
+- With q the trapezoid-weighted posterior, C = exp(-tau/T) and the cached
+  c, s = cos, sin(2 tau b), every outcome moment sum_b w(b) l0(b) is
+  w.1/2 + (C/2)(cos(theta) w.c - sin(theta) w.s).  The predictive
+  probability takes w = q; the variance objective takes w = q, q b, q b^2
+  and needs no theta x N block at all.
+- The MI kernel still needs the pointwise outcome entropy h(l0) over a
+  theta x N block, built in three buffers allocated once per call.  When
+  C/2 is below 1/2 - 1e-12, l0 and l1 = 1 - l0 lie at least 1e-12 inside
+  (0, 1) whatever the roundoff of the cosine term, so l ln l is taken
+  with ``np.log``, which is ``xlogy`` without its zero case and about
+  five times faster.  (numpy's vectorised log and the C library log that
+  ``xlogy`` calls can differ in the last bit.)  Otherwise (T = inf, or
+  tau negligible against T) an outcome can be certain and ``xlogy``
+  gives 0 ln 0 = 0.
 """
 
 from __future__ import annotations
@@ -38,6 +60,12 @@ POLICY_KINDS = ("random", "kpe", "myopic_entropy", "variance_min")
 TIE_TOL = 1e-9
 
 _EV_MASS_FLOOR = 1e-300
+
+# Below this half-contrast no cell's outcome is certain, so the MI kernel
+# takes l ln l with np.log instead of xlogy (see the module docstring).
+# The cosine term can round to 1 + a few ulp, which is why the bound is
+# not 1/2 itself.
+_LOG_HALF_CONTRAST_MAX = 0.5 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,56 +143,87 @@ def _grid_key(grid: FieldGrid) -> tuple[float, float, int]:
     return (grid.b_min, grid.b_max, grid.n_points)
 
 
+def _scored_theta_count(cfg: PolicyConfig) -> int:
+    """Leading theta columns the kernels evaluate; the rest mirror them.
+
+    On an even grid the cells from index K/2 on sit exactly pi above the
+    first K/2, so only the thetas below pi are scored.  An odd grid holds
+    no theta + pi partners and is scored in full.
+    """
+    k = cfg.theta_grid_size
+    return k // 2 if k % 2 == 0 else k
+
+
+def _full_theta(scored: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
+    """Widen scores over the scored thetas to the whole theta grid."""
+    if scored.shape[1] == cfg.theta_grid_size:
+        return scored
+    return np.concatenate((scored, scored), axis=1)
+
+
 def _mi_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
     """Mutual information for every (tau, theta) cell, natural units."""
     taus = tau_search_grid(cfg)
-    thetas = theta_search_grid(cfg)
+    n_theta = _scored_theta_count(cfg)
+    thetas = theta_search_grid(cfg)[:n_theta]
     q = d.grid.trapz_weights * d.density
-    cos_t = np.cos(thetas)[:, None]
-    sin_t = np.sin(thetas)[:, None]
+    q0 = float(q.sum())
+    cos_t = np.cos(thetas)
+    sin_t = np.sin(thetas)
     key = _grid_key(d.grid)
-    out = np.empty((len(taus), len(thetas)))
+    l0 = np.empty((n_theta, d.grid.n_points))
+    l1 = np.empty_like(l0)
+    xlx = np.empty_like(l0)
+    out = np.empty((len(taus), n_theta))
     for i, tau in enumerate(taus):
         c, s = _tau_trig(key, float(tau))
-        contrast = math.exp(-tau / cfg.coherence_time)
-        l0 = 0.5 + (0.5 * contrast) * (cos_t * c - sin_t * s)
-        l1 = 1.0 - l0
-        p0 = l0 @ q
-        p1 = l1 @ q
+        half_c = 0.5 * math.exp(-tau / cfg.coherence_time)
+        p0 = 0.5 * q0 + half_c * (cos_t * float(q @ c) - sin_t * float(q @ s))
+        p1 = q0 - p0
         h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
-        h_xb = -(xlogy(l0, l0) + xlogy(l1, l1)) @ q
-        out[i] = h_x - h_xb
-    return out
+        np.multiply(cos_t[:, None], c, out=l0)
+        np.multiply(sin_t[:, None], s, out=l1)
+        np.subtract(l0, l1, out=l0)
+        l0 *= half_c
+        l0 += 0.5
+        np.subtract(1.0, l0, out=l1)
+        # xlx = l0 ln l0 + l1 ln l1; l0 is spent once its term is in xlx
+        if half_c < _LOG_HALF_CONTRAST_MAX:
+            np.log(l0, out=xlx)
+            xlx *= l0
+            np.log(l1, out=l0)
+            l0 *= l1
+        else:
+            xlogy(l0, l0, out=xlx)
+            xlogy(l1, l1, out=l0)
+        xlx += l0
+        out[i] = h_x + xlx @ q
+    return _full_theta(out, cfg)
 
 
 def _expected_variance_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
     """Outcome-averaged posterior variance for every (tau, theta) cell."""
     taus = tau_search_grid(cfg)
-    thetas = theta_search_grid(cfg)
+    thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
     b = d.grid.points
     q = d.grid.trapz_weights * d.density
     qb = q * b
-    qb2 = qb * b
-    tot0, tot1, tot2 = float(q.sum()), float(qb.sum()), float(qb2.sum())
-    cos_t = np.cos(thetas)[:, None]
-    sin_t = np.sin(thetas)[:, None]
+    w = np.stack((q, qb, qb * b))
+    tot = w.sum(axis=1)[:, None, None]
     key = _grid_key(d.grid)
-    out = np.empty((len(taus), len(thetas)))
-    for i, tau in enumerate(taus):
-        c, s = _tau_trig(key, float(tau))
-        contrast = math.exp(-tau / cfg.coherence_time)
-        l0 = 0.5 + (0.5 * contrast) * (cos_t * c - sin_t * s)
-        m0 = l0 @ q
-        m1 = l0 @ qb
-        m2 = l0 @ qb2
-        ev = np.zeros(len(thetas))
-        for m0x, m1x, m2x in ((m0, m1, m2), (tot0 - m0, tot1 - m1, tot2 - m2)):
-            ok = m0x > _EV_MASS_FLOOR
-            mm = np.where(ok, m0x, 1.0)
-            var = np.maximum(m2x / mm - (m1x / mm) ** 2, 0.0)
-            ev += np.where(ok, m0x * var, 0.0)
-        out[i] = ev
-    return out
+    trig = [_tau_trig(key, float(tau)) for tau in taus]
+    wc = np.stack([w @ c for c, _ in trig], axis=1)[:, :, None]
+    ws = np.stack([w @ s for _, s in trig], axis=1)[:, :, None]
+    half_c = np.array([0.5 * math.exp(-tau / cfg.coherence_time) for tau in taus])[:, None]
+    # moments[k, i, j] = sum_b w_k(b) l0(b; tau_i, theta_j)
+    moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
+    out = np.zeros((len(taus), len(thetas)))
+    for m0, m1, m2 in (moments, tot - moments):
+        ok = m0 > _EV_MASS_FLOOR
+        mm = np.where(ok, m0, 1.0)
+        var = np.maximum(m2 / mm - (m1 / mm) ** 2, 0.0)
+        out += np.where(ok, m0 * var, 0.0)
+    return _full_theta(out, cfg)
 
 
 def _best_cell(scores: np.ndarray, cfg: PolicyConfig) -> tuple[float, float]:

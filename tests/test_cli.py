@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ramsey_sched
 from ramsey_sched.bayes import FieldGrid, uniform_distribution
 from ramsey_sched.cli import (
     ConfigError,
@@ -76,6 +81,19 @@ class TestExitCodes:
         code = main(["compare", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 2
 
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(ramsey_sched.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ramsey_sched.cli", "--version"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == ramsey_sched.__version__ == "0.1.0"
 
 class TestMiSurface:
     def test_run_and_rerun_byte_identical(self, tmp_path):

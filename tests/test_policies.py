@@ -9,12 +9,16 @@ from ramsey_sched.bayes import (
     bayes_update,
     expected_posterior_functional,
     gaussian_distribution,
+    likelihood,
     mutual_information,
     spike_distribution,
     uniform_distribution,
 )
 from ramsey_sched.policies import (
     PolicyConfig,
+    _best_cell,
+    _expected_variance_matrix,
+    _mi_matrix,
     PolicyState,
     compare_kpe_to_myopic,
     next_params,
@@ -264,6 +268,69 @@ class TestDispatch:
         p = next_params_myopic_entropy(_state(d), cfg)
         assert p.theta < math.pi
 
+
+
+def _expected_variance(d, p):
+    return expected_posterior_functional(d, p, "variance")
+
+
+# (matrix kernel, its scalar oracle, the policy built on it, sign that
+# turns the objective into a maximisation)
+KERNELS = [
+    (_mi_matrix, mutual_information, next_params_myopic_entropy, 1.0),
+    (_expected_variance_matrix, _expected_variance, next_params_variance_min, -1.0),
+]
+
+
+def _oracle_matrix(d, cfg, oracle):
+    return np.array([
+        [oracle(d, RamseyParams(float(tau), float(theta), cfg.coherence_time))
+         for theta in theta_search_grid(cfg)]
+        for tau in tau_search_grid(cfg)
+    ])
+
+
+def _asymmetric_posterior(grid, coherence_time):
+    d = gaussian_distribution(grid, 0.4, 2.0)
+    for tau, theta, x in ((1.3, 0.4, 1), (0.7, 2.1, 0), (2.9, 5.0, 1)):
+        d = bayes_update(d, RamseyParams(tau, theta, coherence_time), x)
+    return d
+
+
+class TestScoringKernelsAgainstScalarOracle:
+    @pytest.mark.parametrize("theta_grid_size", [12, 9])
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_every_cell_and_the_chosen_cell(self, coherence_time, theta_grid_size):
+        # an even theta grid is scored below pi and mirrored; an odd one
+        # has no theta + pi partners and is scored in full
+        cfg = PolicyConfig(
+            tau_min=0.05, tau_max=4.0, tau_grid_size=6,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        d = _asymmetric_posterior(GRID, coherence_time)
+        for kernel, oracle, policy, sign in KERNELS:
+            want = _oracle_matrix(d, cfg, oracle)
+            np.testing.assert_allclose(kernel(d, cfg), want, rtol=0.0, atol=1e-12)
+            p = policy(_state(d), cfg)
+            assert (p.tau, p.theta) == _best_cell(sign * want, cfg)
+
+    def test_certain_outcome_cells(self):
+        # T = inf with b = 0 on the grid: at theta = 0 and theta = pi one
+        # outcome has likelihood exactly 0 there, so 0 ln 0 must read 0
+        grid = FieldGrid(-8.0 * math.pi, 8.0 * math.pi, 2**10 + 1)
+        cfg = PolicyConfig(
+            tau_min=0.25, tau_max=2.0, tau_grid_size=4,
+            theta_grid_size=8, coherence_time=math.inf,
+        )
+        assert 0.0 in grid.points
+        assert math.pi in theta_search_grid(cfg)
+        assert likelihood(0, 0.0, RamseyParams(cfg.tau_min, math.pi)) == 0.0
+        assert likelihood(1, 0.0, RamseyParams(cfg.tau_min, 0.0)) == 0.0
+        d = _asymmetric_posterior(grid, math.inf)
+        for kernel, oracle, _, _ in KERNELS:
+            got = kernel(d, cfg)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, _oracle_matrix(d, cfg, oracle), rtol=0.0, atol=1e-12)
 
 class TestKpeMyopicComparison:
     def test_all_zero_outcomes_agree_exactly(self):
