@@ -26,14 +26,14 @@ cell by cell, up to float roundoff:
   probability takes w = q; the variance objective takes w = q, q b, q b^2
   and needs no theta x N block at all.
 - The MI kernel still needs the pointwise outcome entropy h(l0) over a
-  theta x N block, built in three buffers allocated once per call.  When
-  C/2 is below 1/2 - 1e-12, l0 and l1 = 1 - l0 lie at least 1e-12 inside
-  (0, 1) whatever the roundoff of the cosine term, so l ln l is taken
-  with ``np.log``, which is ``xlogy`` without its zero case and about
-  five times faster.  (numpy's vectorised log and the C library log that
-  ``xlogy`` calls can differ in the last bit.)  Otherwise (T = inf, or
-  tau negligible against T) an outcome can be certain and ``xlogy``
-  gives 0 ln 0 = 0.
+  theta x N block, built in three buffers allocated once per call.  The
+  cosine term can round to 1 + 2^-52 in magnitude, so l0 is clamped into
+  [0, 1] before l1 = 1 - l0 is taken, and p0 into [0, q0] (a posterior
+  on one grid point has p0 = l0 there).  l ln l is then l * ln(max(l, tiny))
+  with ``np.log``: that is l ln l for every l the block holds (no nonzero
+  one is below 2^-54), exactly 0 where an outcome is certain (l = 0,
+  possible only at T = inf), and about four times faster than ``xlogy``.  (numpy's vectorised log and the C
+  library log that ``xlogy`` calls can differ in the last bit.)
 """
 
 from __future__ import annotations
@@ -61,11 +61,8 @@ TIE_TOL = 1e-9
 
 _EV_MASS_FLOOR = 1e-300
 
-# Below this half-contrast no cell's outcome is certain, so the MI kernel
-# takes l ln l with np.log instead of xlogy (see the module docstring).
-# The cosine term can round to 1 + a few ulp, which is why the bound is
-# not 1/2 itself.
-_LOG_HALF_CONTRAST_MAX = 0.5 - 1e-12
+# ln is taken of max(l, _TINY), so that l ln l reads 0 at l = 0.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -179,6 +176,7 @@ def _mi_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
         c, s = _tau_trig(key, float(tau))
         half_c = 0.5 * math.exp(-tau / cfg.coherence_time)
         p0 = 0.5 * q0 + half_c * (cos_t * float(q @ c) - sin_t * float(q @ s))
+        np.clip(p0, 0.0, q0, out=p0)
         p1 = q0 - p0
         h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
         np.multiply(cos_t[:, None], c, out=l0)
@@ -186,16 +184,15 @@ def _mi_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
         np.subtract(l0, l1, out=l0)
         l0 *= half_c
         l0 += 0.5
+        np.clip(l0, 0.0, 1.0, out=l0)
         np.subtract(1.0, l0, out=l1)
         # xlx = l0 ln l0 + l1 ln l1; l0 is spent once its term is in xlx
-        if half_c < _LOG_HALF_CONTRAST_MAX:
-            np.log(l0, out=xlx)
-            xlx *= l0
-            np.log(l1, out=l0)
-            l0 *= l1
-        else:
-            xlogy(l0, l0, out=xlx)
-            xlogy(l1, l1, out=l0)
+        np.maximum(l0, _TINY, out=xlx)
+        np.log(xlx, out=xlx)
+        xlx *= l0
+        np.maximum(l1, _TINY, out=l0)
+        np.log(l0, out=l0)
+        l0 *= l1
         xlx += l0
         out[i] = h_x + xlx @ q
     return _full_theta(out, cfg)

@@ -82,7 +82,6 @@ class TestExitCodes:
         assert code == 2
 
 
-
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self):
         src = str(Path(ramsey_sched.__file__).resolve().parents[1])
@@ -93,7 +92,8 @@ class TestModuleEntryPoint:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
-        assert proc.stdout.strip() == ramsey_sched.__version__ == "0.1.0"
+        assert proc.stdout.strip() == ramsey_sched.__version__
+
 
 class TestMiSurface:
     def test_run_and_rerun_byte_identical(self, tmp_path):

@@ -16,10 +16,10 @@ from ramsey_sched.bayes import (
 )
 from ramsey_sched.policies import (
     PolicyConfig,
+    PolicyState,
     _best_cell,
     _expected_variance_matrix,
     _mi_matrix,
-    PolicyState,
     compare_kpe_to_myopic,
     next_params,
     next_params_kpe,
@@ -269,7 +269,6 @@ class TestDispatch:
         assert p.theta < math.pi
 
 
-
 def _expected_variance(d, p):
     return expected_posterior_functional(d, p, "variance")
 
@@ -331,6 +330,33 @@ class TestScoringKernelsAgainstScalarOracle:
             got = kernel(d, cfg)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, _oracle_matrix(d, cfg, oracle), rtol=0.0, atol=1e-12)
+
+    def test_cosine_term_rounding_past_one(self):
+        # On this grid cos(theta) cos(2 tau b) - sin(theta) sin(2 tau b)
+        # rounds below -1 in some scored cell, so at C = 1 the outcome-0
+        # likelihood would come out -2^-53 without a clamp, and so would
+        # the predictive probability of a posterior on that one point
+        grid = FieldGrid(-8.0 * math.pi, 8.0 * math.pi, 2**10 + 1)
+        cfg = PolicyConfig(
+            tau_min=0.25, tau_max=2.0, tau_grid_size=4,
+            theta_grid_size=32, coherence_time=math.inf,
+        )
+        thetas = theta_search_grid(cfg)[: cfg.theta_grid_size // 2]
+        phase = 2.0 * cfg.tau_min * grid.points
+        term = np.cos(thetas)[:, None] * np.cos(phase) - np.sin(thetas)[:, None] * np.sin(phase)
+        j, k = np.argwhere(term < -1.0)[0]
+        spike = spike_distribution(grid, float(grid.points[k]))
+        for d in (_asymmetric_posterior(grid, math.inf), spike):
+            for kernel, oracle, policy, sign in KERNELS:
+                got = kernel(d, cfg)
+                assert np.all(np.isfinite(got))
+                want = _oracle_matrix(d, cfg, oracle)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                p = policy(_state(d), cfg)
+                assert (p.tau, p.theta) == _best_cell(sign * want, cfg)
+        # the outcome at that cell is certain, so it carries no information
+        assert _mi_matrix(spike, cfg)[0, j] == 0.0
+
 
 class TestKpeMyopicComparison:
     def test_all_zero_outcomes_agree_exactly(self):
