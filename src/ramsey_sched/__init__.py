@@ -49,5 +49,6 @@ from .simulate import (
     Trajectory,
     run_ensemble,
     run_trial,
+    run_trials,
     sample_outcome,
 )

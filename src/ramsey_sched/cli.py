@@ -7,7 +7,9 @@ a fixed column order and 17-significant-digit floats, so reruns are
 byte-identical; each run also writes a manifest echoing the resolved
 configuration and listing every artifact.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error,
+3 numerical failure during a run (an outcome with zero evidence; the
+message names the trial, step and master seed).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .bayes import (
     FieldDistribution,
     FieldGrid,
     RamseyParams,
+    ZeroEvidence,
     gaussian_distribution,
     mutual_information,
 )
@@ -42,6 +45,7 @@ from .simulate import SimConfig, run_ensemble
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
 
 ALL_POLICIES = ["random", "kpe", "variance_min", "myopic_entropy"]
 
@@ -280,14 +284,14 @@ def _finish(out_dir: Path, command: str, cfg: dict, artifacts: list[Path], t0: f
         command=command,
         config=cfg,
         artifacts=[a.name for a in artifacts],
-        duration_seconds=time.time() - t0,
+        duration_seconds=time.perf_counter() - t0,
     )
     manifest.write(out_dir / "manifest.txt")
 
 
 def cmd_mi_surface(cfg: dict, out_dir: Path) -> int:
     """Single-measurement information over a (T, tau) grid."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
     prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
     taus = np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])
@@ -317,7 +321,7 @@ def _policy_config(cfg: dict, kind: str) -> PolicyConfig:
 
 def cmd_compare(cfg: dict, out_dir: Path) -> int:
     """Run every requested policy with identical seeds; one CSV each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     kinds = cfg["policies"]
     if cfg.get("policy"):
         if cfg["policy"] not in ALL_POLICIES:
@@ -357,7 +361,7 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
 
 def cmd_validate_alpha(cfg: dict, out_dir: Path) -> int:
     """Closed-series coefficients against the quadrature oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     j_max = cfg["j_max"]
     if j_max < 1:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
@@ -389,7 +393,7 @@ def cmd_validate_alpha(cfg: dict, out_dir: Path) -> int:
 
 def cmd_kpe_check(cfg: dict, out_dir: Path) -> int:
     """Halving-schedule vs myopic argmax along a scripted trajectory."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
     policy = _policy_config(cfg, "myopic_entropy")
     rows = compare_kpe_to_myopic(cfg["outcomes"], policy, grid)
@@ -456,6 +460,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ZeroEvidence as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,18 +27,25 @@ cell by cell, up to float roundoff:
   and needs no theta x N block at all.
 - The MI kernel still needs the pointwise outcome entropy h(l0) over a
   theta x N block, built in three buffers allocated once per call.  The
-  cosine term can round to 1 + 2^-52 in magnitude, so l0 is clamped into
-  [0, 1] before l1 = 1 - l0 is taken, and p0 into [0, q0] (a posterior
-  on one grid point has p0 = l0 there).  l ln l is then l * ln(max(l, tiny))
-  with ``np.log``: that is l ln l for every l the block holds (no nonzero
-  one is below 2^-54), exactly 0 where an outcome is certain (l = 0,
-  possible only at T = inf), and about four times faster than ``xlogy``.  (numpy's vectorised log and the C
+  block does not depend on the posterior, so the kernel takes a sequence
+  of posteriors on one grid and builds one block per tau for all of
+  them; each posterior then takes its own p0, h(p0) and block-vector
+  product, exactly as it would alone (``next_params_lockstep``, used by
+  the lockstep trial loop).
+- The cosine term can round to 1 + 2^-52 in magnitude, so l0 is clamped
+  into [0, 1] before l1 = 1 - l0 is taken, and p0 into [0, q0] (a
+  posterior on one grid point has p0 = l0 there).  l ln l is then
+  l * ln(max(l, tiny)) with ``np.log``: that is l ln l for every l the
+  block holds (no nonzero one is below 2^-54), exactly 0 where an
+  outcome is certain (l = 0, possible only at T = inf), and about four
+  times faster than ``xlogy``.  (numpy's vectorised log and the C
   library log that ``xlogy`` calls can differ in the last bit.)
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +62,10 @@ from .bayes import (
 )
 
 POLICY_KINDS = ("random", "kpe", "myopic_entropy", "variance_min")
+
+# Kinds whose scoring has posterior-independent work that several
+# posteriors can share (the myopic MI entropy block).
+LOCKSTEP_KINDS = ("myopic_entropy",)
 
 # Cells whose objective is within this of the best count as tied.
 TIE_TOL = 1e-9
@@ -152,33 +163,37 @@ def _scored_theta_count(cfg: PolicyConfig) -> int:
 
 
 def _full_theta(scored: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Widen scores over the scored thetas to the whole theta grid."""
-    if scored.shape[1] == cfg.theta_grid_size:
+    """Widen scores over the scored thetas (last axis) to the whole theta grid."""
+    if scored.shape[-1] == cfg.theta_grid_size:
         return scored
-    return np.concatenate((scored, scored), axis=1)
+    return np.concatenate((scored, scored), axis=-1)
 
 
-def _mi_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
-    """Mutual information for every (tau, theta) cell, natural units."""
+def _mi_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
+    """Mutual information for every (posterior, tau, theta) cell, natural units.
+
+    The posteriors must share one grid.  Each tau's entropy block is built
+    once and scored against every posterior; posterior r's scores are
+    bit-identical to those of ``_mi_matrix([ds[r]], cfg)``.
+    """
+    grid = ds[0].grid
+    if any(d.grid != grid for d in ds):
+        raise ValueError("posteriors scored together must share one grid")
     taus = tau_search_grid(cfg)
     n_theta = _scored_theta_count(cfg)
     thetas = theta_search_grid(cfg)[:n_theta]
-    q = d.grid.trapz_weights * d.density
-    q0 = float(q.sum())
+    qs = [grid.trapz_weights * d.density for d in ds]
+    q0s = [float(q.sum()) for q in qs]
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-    key = _grid_key(d.grid)
-    l0 = np.empty((n_theta, d.grid.n_points))
+    key = _grid_key(grid)
+    l0 = np.empty((n_theta, grid.n_points))
     l1 = np.empty_like(l0)
     xlx = np.empty_like(l0)
-    out = np.empty((len(taus), n_theta))
+    out = np.empty((len(ds), len(taus), n_theta))
     for i, tau in enumerate(taus):
         c, s = _tau_trig(key, float(tau))
         half_c = 0.5 * math.exp(-tau / cfg.coherence_time)
-        p0 = 0.5 * q0 + half_c * (cos_t * float(q @ c) - sin_t * float(q @ s))
-        np.clip(p0, 0.0, q0, out=p0)
-        p1 = q0 - p0
-        h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
         np.multiply(cos_t[:, None], c, out=l0)
         np.multiply(sin_t[:, None], s, out=l1)
         np.subtract(l0, l1, out=l0)
@@ -194,7 +209,12 @@ def _mi_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
         np.log(l0, out=l0)
         l0 *= l1
         xlx += l0
-        out[i] = h_x + xlx @ q
+        for r, (q, q0) in enumerate(zip(qs, q0s)):
+            p0 = 0.5 * q0 + half_c * (cos_t * float(q @ c) - sin_t * float(q @ s))
+            np.clip(p0, 0.0, q0, out=p0)
+            p1 = q0 - p0
+            h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+            out[r, i] = h_x + xlx @ q
     return _full_theta(out, cfg)
 
 
@@ -252,16 +272,19 @@ def next_params_kpe(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
 
 
+def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
+    tau, theta = _best_cell(scores, cfg)
+    return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
+
+
 def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     """Exhaustive grid argmax of single-measurement mutual information."""
-    tau, theta = _best_cell(_mi_matrix(state.posterior, cfg), cfg)
-    return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
+    return _best_params(_mi_matrix([state.posterior], cfg)[0], cfg)
 
 
 def next_params_variance_min(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     """Exhaustive grid argmin of the expected posterior variance."""
-    tau, theta = _best_cell(-_expected_variance_matrix(state.posterior, cfg), cfg)
-    return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
+    return _best_params(-_expected_variance_matrix(state.posterior, cfg), cfg)
 
 
 def next_params(state: PolicyState, cfg: PolicyConfig, rng: np.random.Generator | None = None) -> RamseyParams:
@@ -277,6 +300,23 @@ def next_params(state: PolicyState, cfg: PolicyConfig, rng: np.random.Generator 
     if cfg.kind == "variance_min":
         return next_params_variance_min(state, cfg)
     raise ValueError(f"unknown policy kind {cfg.kind!r}")
+
+
+def next_params_lockstep(
+    states: Sequence[PolicyState],
+    cfg: PolicyConfig,
+    rngs: Sequence[np.random.Generator | None],
+) -> list[RamseyParams]:
+    """``next_params`` for each (state, rng) pair, in order.
+
+    The myopic policy scores every posterior in one ``_mi_matrix`` call,
+    which builds each tau's entropy block once for all of them; the
+    choices equal those of ``next_params`` bit for bit.  Kinds outside
+    ``LOCKSTEP_KINDS`` have nothing to share and go one state at a time.
+    """
+    if cfg.kind in LOCKSTEP_KINDS:
+        return [_best_params(m, cfg) for m in _mi_matrix([s.posterior for s in states], cfg)]
+    return [next_params(state, cfg, rng) for state, rng in zip(states, rngs)]
 
 
 def tau_cell_index(cfg: PolicyConfig, tau: float) -> int:

@@ -3,14 +3,23 @@
 A trial draws (or fixes) a true field value, then repeats: ask the
 policy for the next controls, sample a binary outcome from the true
 field's likelihood, update the posterior, and record its entropy and
-spread.  Trials derive independent random streams from (master_seed,
-trial_index), so an ensemble is a pure function of its configuration and
-is insensitive to execution order.
+spread.
+
+``run_trials`` is the one trial loop.  Myopic trials advance in
+lockstep: at each step every trial's posterior is scored against one
+shared entropy block per tau, then each trial samples its outcome and
+updates on its own.  The other kinds share no scoring work and run one
+trial at a time.  Each trial draws from its own stream, derived from
+(master_seed, trial_index), in a fixed order (true field, the policy's
+draws, the outcome), so a trajectory is bit-identical whether its trial
+runs alone or beside others, and an ensemble is a pure function of its
+configuration, insensitive to execution order.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +28,7 @@ from .bayes import (
     FieldDistribution,
     FieldGrid,
     RamseyParams,
+    ZeroEvidence,
     bayes_update,
     entropy,
     gaussian_distribution,
@@ -26,7 +36,7 @@ from .bayes import (
     mean,
     variance,
 )
-from .policies import PolicyConfig, PolicyState, next_params
+from .policies import LOCKSTEP_KINDS, PolicyConfig, PolicyState, next_params_lockstep
 
 
 @dataclass(frozen=True)
@@ -117,34 +127,69 @@ def sample_outcome(rng: np.random.Generator, b_true: float, p: RamseyParams) -> 
     return 0 if rng.random() < likelihood(0, b_true, p) else 1
 
 
+def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]:
+    """Simulate the given trials; bit-identical for equal inputs.
+
+    Trials of a kind in ``LOCKSTEP_KINDS`` (myopic) advance in lockstep,
+    so each step scores every posterior against one entropy block per
+    tau; the other kinds run one trial at a time and hold a single
+    posterior.  Either way a trial's trajectory does not depend on which
+    other trials run beside it.
+
+    Raises:
+        ZeroEvidence: an outcome had (numerically) zero probability; the
+            message names the trial, the step and the master seed.
+    """
+    indices = [int(i) for i in trial_indices]
+    if cfg.policy.kind in LOCKSTEP_KINDS:
+        return _run_lockstep(cfg, indices)
+    return [t for i in indices for t in _run_lockstep(cfg, [i])]
+
+
+def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
+    if not indices:
+        return []
+    rngs = [trial_rng(cfg.master_seed, i) for i in indices]
+    if cfg.true_field is not None:
+        b_trues = [float(cfg.true_field)] * len(indices)
+    else:
+        b_trues = [float(rng.normal(cfg.prior_mean, cfg.prior_std)) for rng in rngs]
+    posteriors = [initial_prior(cfg)] * len(indices)
+    histories: list[list[tuple[RamseyParams, int]]] = [[] for _ in indices]
+    records: list[list[StepRecord]] = [[] for _ in indices]
+    for step in range(1, cfg.n_measurements + 1):
+        states = [PolicyState(post, tuple(hist), len(hist)) for post, hist in zip(posteriors, histories)]
+        chosen = next_params_lockstep(states, cfg.policy, rngs)
+        for r, params in enumerate(chosen):
+            outcome = sample_outcome(rngs[r], b_trues[r], params)
+            try:
+                posterior = bayes_update(posteriors[r], params, outcome)
+            except ZeroEvidence as exc:
+                raise ZeroEvidence(
+                    f"trial {indices[r]}, step {step}, master_seed {cfg.master_seed}: {exc}"
+                ) from exc
+            posteriors[r] = posterior
+            records[r].append(
+                StepRecord(
+                    step=step,
+                    tau=params.tau,
+                    theta=params.theta,
+                    outcome=outcome,
+                    posterior_entropy=entropy(posterior),
+                    posterior_std=math.sqrt(variance(posterior)),
+                    posterior_mean=mean(posterior),
+                )
+            )
+            histories[r].append((params, outcome))
+    return [
+        Trajectory(cfg.master_seed, i, b_true, tuple(recs))
+        for i, b_true, recs in zip(indices, b_trues, records)
+    ]
+
+
 def run_trial(cfg: SimConfig, trial_index: int) -> Trajectory:
     """Simulate one measurement sequence; bit-identical for equal inputs."""
-    rng = trial_rng(cfg.master_seed, trial_index)
-    if cfg.true_field is not None:
-        b_true = float(cfg.true_field)
-    else:
-        b_true = float(rng.normal(cfg.prior_mean, cfg.prior_std))
-    posterior = initial_prior(cfg)
-    history: list[tuple[RamseyParams, int]] = []
-    records: list[StepRecord] = []
-    for step in range(1, cfg.n_measurements + 1):
-        state = PolicyState(posterior, tuple(history), len(history))
-        params = next_params(state, cfg.policy, rng)
-        outcome = sample_outcome(rng, b_true, params)
-        posterior = bayes_update(posterior, params, outcome)
-        records.append(
-            StepRecord(
-                step=step,
-                tau=params.tau,
-                theta=params.theta,
-                outcome=outcome,
-                posterior_entropy=entropy(posterior),
-                posterior_std=math.sqrt(variance(posterior)),
-                posterior_mean=mean(posterior),
-            )
-        )
-        history.append((params, outcome))
-    return Trajectory(cfg.master_seed, trial_index, b_true, tuple(records))
+    return run_trials(cfg, [trial_index])[0]
 
 
 def summarize(trajectories: list[Trajectory]) -> EnsembleSummary:
@@ -164,4 +209,4 @@ def summarize(trajectories: list[Trajectory]) -> EnsembleSummary:
 
 def run_ensemble(cfg: SimConfig) -> EnsembleSummary:
     """Run n_realizations independent trials and aggregate them."""
-    return summarize([run_trial(cfg, i) for i in range(cfg.n_realizations)])
+    return summarize(run_trials(cfg, range(cfg.n_realizations)))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ramsey_sched
-from ramsey_sched.bayes import FieldGrid, uniform_distribution
+from ramsey_sched import simulate
+from ramsey_sched.bayes import FieldGrid, ZeroEvidence, uniform_distribution
 from ramsey_sched.cli import (
     ConfigError,
     main,
@@ -80,6 +81,31 @@ class TestExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         code = main(["compare", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
         assert code == 2
+
+
+    def test_zero_evidence_mid_run_is_3(self, tmp_path, capsys, monkeypatch):
+        # 3 myopic trials advance in lockstep, so update k belongs to
+        # trial k % 3 at step k // 3 + 1; fail trial 2 at step 3
+        real, calls = simulate.bayes_update, []
+
+        def flaky(d, p, x):
+            calls.append(None)
+            if len(calls) - 1 == 2 * 3 + 2:
+                raise ZeroEvidence(f"outcome {x} has predictive probability 0.0 under the prior")
+            return real(d, p, x)
+
+        monkeypatch.setattr(simulate, "bayes_update", flaky)
+        path = _write(
+            tmp_path, "c.cfg",
+            "policy = myopic_entropy\nn_realizations = 3\nn_measurements = 4\n"
+            "n_points = 1024\ntau_grid_size = 8\ntheta_grid_size = 8\n",
+        )
+        out = tmp_path / "out"
+        code = main(["compare", "--config", path, "--seed", "4242", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: trial 2, step 3, master_seed 4242: outcome")
+        assert not list(out.glob("*.csv"))
 
 
 class TestModuleEntryPoint:

@@ -23,6 +23,7 @@ from ramsey_sched.policies import (
     compare_kpe_to_myopic,
     next_params,
     next_params_kpe,
+    next_params_lockstep,
     next_params_myopic_entropy,
     next_params_random,
     next_params_variance_min,
@@ -275,8 +276,12 @@ def _expected_variance(d, p):
 
 # (matrix kernel, its scalar oracle, the policy built on it, sign that
 # turns the objective into a maximisation)
+def _mi_one(d, cfg):
+    return _mi_matrix([d], cfg)[0]
+
+
 KERNELS = [
-    (_mi_matrix, mutual_information, next_params_myopic_entropy, 1.0),
+    (_mi_one, mutual_information, next_params_myopic_entropy, 1.0),
     (_expected_variance_matrix, _expected_variance, next_params_variance_min, -1.0),
 ]
 
@@ -294,6 +299,28 @@ def _asymmetric_posterior(grid, coherence_time):
     for tau, theta, x in ((1.3, 0.4, 1), (0.7, 2.1, 0), (2.9, 5.0, 1)):
         d = bayes_update(d, RamseyParams(tau, theta, coherence_time), x)
     return d
+
+
+def _rounding_case():
+    # A grid, a search grid, a scored theta column j and a one-point
+    # posterior on a point where the cosine term rounds below -1 at tau_min
+    grid = FieldGrid(-8.0 * math.pi, 8.0 * math.pi, 2**10 + 1)
+    cfg = PolicyConfig(
+        tau_min=0.25, tau_max=2.0, tau_grid_size=4,
+        theta_grid_size=32, coherence_time=math.inf,
+    )
+    thetas = theta_search_grid(cfg)[: cfg.theta_grid_size // 2]
+    phase = 2.0 * cfg.tau_min * grid.points
+    term = np.cos(thetas)[:, None] * np.cos(phase) - np.sin(thetas)[:, None] * np.sin(phase)
+    j, k = np.argwhere(term < -1.0)[0]
+    return grid, cfg, j, spike_distribution(grid, float(grid.points[k]))
+
+
+def _distinct_posteriors(grid, coherence_time):
+    # three shapes on one grid: a Gaussian, after one update, after three
+    d = gaussian_distribution(grid, 0.4, 2.0)
+    once = bayes_update(d, RamseyParams(1.3, 0.4, coherence_time), 1)
+    return [d, once, _asymmetric_posterior(grid, coherence_time)]
 
 
 class TestScoringKernelsAgainstScalarOracle:
@@ -336,16 +363,7 @@ class TestScoringKernelsAgainstScalarOracle:
         # rounds below -1 in some scored cell, so at C = 1 the outcome-0
         # likelihood would come out -2^-53 without a clamp, and so would
         # the predictive probability of a posterior on that one point
-        grid = FieldGrid(-8.0 * math.pi, 8.0 * math.pi, 2**10 + 1)
-        cfg = PolicyConfig(
-            tau_min=0.25, tau_max=2.0, tau_grid_size=4,
-            theta_grid_size=32, coherence_time=math.inf,
-        )
-        thetas = theta_search_grid(cfg)[: cfg.theta_grid_size // 2]
-        phase = 2.0 * cfg.tau_min * grid.points
-        term = np.cos(thetas)[:, None] * np.cos(phase) - np.sin(thetas)[:, None] * np.sin(phase)
-        j, k = np.argwhere(term < -1.0)[0]
-        spike = spike_distribution(grid, float(grid.points[k]))
+        grid, cfg, j, spike = _rounding_case()
         for d in (_asymmetric_posterior(grid, math.inf), spike):
             for kernel, oracle, policy, sign in KERNELS:
                 got = kernel(d, cfg)
@@ -355,7 +373,48 @@ class TestScoringKernelsAgainstScalarOracle:
                 p = policy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(sign * want, cfg)
         # the outcome at that cell is certain, so it carries no information
-        assert _mi_matrix(spike, cfg)[0, j] == 0.0
+        assert _mi_one(spike, cfg)[0, j] == 0.0
+
+
+class TestLockstepMiKernel:
+    def _assert_each_alone(self, ds, cfg):
+        got = _mi_matrix(ds, cfg)
+        assert got.shape == (len(ds), cfg.tau_grid_size, cfg.theta_grid_size)
+        for d, scores in zip(ds, got):
+            assert np.array_equal(scores, _mi_one(d, cfg))
+        states = [_state(d) for d in ds]
+        chosen = next_params_lockstep(states, cfg, [None] * len(ds))
+        assert chosen == [next_params_myopic_entropy(state, cfg) for state in states]
+
+    @pytest.mark.parametrize("theta_grid_size", [12, 9])
+    @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
+    def test_each_posterior_scores_as_alone(self, coherence_time, theta_grid_size):
+        cfg = PolicyConfig(
+            tau_min=0.05, tau_max=4.0, tau_grid_size=6,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        self._assert_each_alone(_distinct_posteriors(GRID, coherence_time), cfg)
+
+    def test_cosine_term_rounding_grid(self):
+        grid, cfg, j, spike = _rounding_case()
+        self._assert_each_alone(_distinct_posteriors(grid, math.inf) + [spike], cfg)
+        assert _mi_matrix([uniform_distribution(grid), spike], cfg)[1, 0, j] == 0.0
+
+    def test_posteriors_must_share_a_grid(self):
+        ds = [uniform_distribution(GRID), uniform_distribution(FieldGrid(-20.0, 20.0, 2**10))]
+        with pytest.raises(ValueError, match="one grid"):
+            _mi_matrix(ds, SMALL_CFG)
+
+    def test_other_kinds_go_state_by_state(self):
+        states = [_state(d) for d in _distinct_posteriors(GRID, 8.0)]
+        for kind in ("random", "kpe", "variance_min"):
+            cfg = PolicyConfig(
+                kind=kind, tau_min=0.05, tau_max=4.0, tau_grid_size=8,
+                theta_grid_size=8, coherence_time=8.0,
+            )
+            got = next_params_lockstep(states, cfg, [np.random.default_rng(i) for i in range(3)])
+            want = [next_params(s, cfg, np.random.default_rng(i)) for i, s in enumerate(states)]
+            assert got == want
 
 
 class TestKpeMyopicComparison:

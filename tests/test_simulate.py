@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ramsey_sched.bayes import FieldGrid, RamseyParams
-from ramsey_sched.policies import PolicyConfig
+from ramsey_sched import simulate
+from ramsey_sched.bayes import FieldGrid, RamseyParams, ZeroEvidence
+from ramsey_sched.policies import POLICY_KINDS, PolicyConfig
 from ramsey_sched.simulate import (
     SimConfig,
     run_ensemble,
     run_trial,
+    run_trials,
     sample_outcome,
     summarize,
     trial_rng,
@@ -139,6 +141,39 @@ class TestRunTrial:
             np.testing.assert_allclose(drops, KPE_UNIFORM_DROPS, atol=5e-5)
 
 
+class TestRunTrials:
+    @pytest.mark.parametrize("true_field", [None, 0.25])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_matches_each_trial_run_alone(self, kind, true_field):
+        # myopic trials share one scoring call per step; every trajectory
+        # must still equal that of its trial run alone, bit for bit
+        cfg = _cfg(kind, true_field=true_field, n_measurements=4)
+        alone = [run_trial(cfg, i) for i in range(3)]
+        assert run_trials(cfg, range(3)) == alone
+        assert run_trials(cfg, [2, 0]) == [alone[2], alone[0]]
+        assert run_trials(cfg, []) == []
+
+    @pytest.mark.parametrize("kind", ["myopic_entropy", "kpe"])
+    def test_zero_evidence_names_trial_step_and_seed(self, kind, monkeypatch):
+        # myopic trials advance in lockstep (update k is trial k % 3 at
+        # step k // 3 + 1); the other kinds run trial by trial (update k
+        # is trial k // 4 at step k % 4 + 1)
+        cfg = _cfg(kind, n_measurements=4)
+        bad = 4 if kind == "myopic_entropy" else 5
+        real, calls = simulate.bayes_update, []
+
+        def flaky(d, p, x):
+            calls.append(None)
+            if len(calls) - 1 == bad:
+                raise ZeroEvidence("injected")
+            return real(d, p, x)
+
+        monkeypatch.setattr(simulate, "bayes_update", flaky)
+        with pytest.raises(ZeroEvidence, match="trial 1, step 2, master_seed 99: injected") as info:
+            run_trials(cfg, range(3))
+        assert str(info.value.__cause__) == "injected"
+
+
 class TestRunEnsemble:
     def test_single_trial_summary_matches_trajectory(self):
         cfg = _cfg("random", n_realizations=1)
@@ -192,8 +227,7 @@ class TestBayesianConsistency:
             policy=policy, grid=FieldGrid(-20.0, 20.0, 2**11),
         )
         hits = 0
-        for i in range(cfg.n_realizations):
-            t = run_trial(cfg, i)
+        for t in run_trials(cfg, range(cfg.n_realizations)):
             if abs(t.records[-1].posterior_mean - t.b_true) < t.records[0].posterior_std:
                 hits += 1
         assert hits >= 45
