@@ -15,17 +15,16 @@ message names the trial, step and master seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bayes import (
-    FieldDistribution,
     FieldGrid,
     RamseyParams,
     ZeroEvidence,
@@ -33,13 +32,11 @@ from .bayes import (
     mutual_information,
 )
 from .fourier import (
-    AlphaSeries,
-    DeltaComb,
     TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
 )
-from .policies import PolicyConfig, compare_kpe_to_myopic
+from .policies import POLICY_KINDS, PolicyConfig, compare_kpe_to_myopic
 from .simulate import SimConfig, run_ensemble
 
 EXIT_OK = 0
@@ -47,17 +44,9 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-ALL_POLICIES = ["random", "kpe", "variance_min", "myopic_entropy"]
-
 
 class ConfigError(ValueError):
     """Bad or unknown configuration; the message names the key."""
-
-
-def _parse_time(key, raw):
-    if raw.strip().lower() == "inf":
-        return math.inf
-    return _parse_float(key, raw)
 
 
 def _parse_float(key, raw):
@@ -80,120 +69,107 @@ def _parse_field(key, raw):
     return _parse_float(key, raw)
 
 
-def _parse_str(key, raw):
-    return raw.strip()
+def _split_list(key, raw):
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
+    if not parts:
+        raise ConfigError(f"key {key!r}: expected a comma-separated list, got nothing")
+    return parts
 
 
-def _parse_time_list(key, raw):
-    return [_parse_time(key, part) for part in raw.split(",") if part.strip()]
+def _parse_float_list(key, raw):
+    return [_parse_float(key, part) for part in _split_list(key, raw)]
 
 
 def _parse_outcomes(key, raw):
-    vals = [_parse_int(key, part) for part in raw.split(",") if part.strip()]
+    vals = [_parse_int(key, part) for part in _split_list(key, raw)]
     if any(v not in (0, 1) for v in vals):
         raise ConfigError(f"key {key!r}: outcomes must be 0 or 1")
     return vals
 
 
+def _policy_name(key, name):
+    if name not in POLICY_KINDS:
+        raise ConfigError(f"key {key!r}: unknown policy {name!r}")
+    return name
+
+
 def _parse_policies(key, raw):
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    for name in names:
-        if name not in ALL_POLICIES:
-            raise ConfigError(f"key {key!r}: unknown policy {name!r}")
-    return names
+    return [_policy_name(key, name) for name in _split_list(key, raw)]
 
 
-_PRIOR_STD_DEFAULT = 3.0 / math.sqrt(2.0)
+def _parse_policy(key, raw):
+    # empty means "run the policies list"
+    name = raw.strip()
+    return _policy_name(key, name) if name else name
 
-# key -> (parser, default); commands declare which keys they accept.
-_KEY_SPECS = {
-    "prior_mean": (_parse_float, 0.0),
-    "prior_std": (_parse_float, _PRIOR_STD_DEFAULT),
-    "coherence_time": (_parse_time, 10.0),
-    "n_measurements": (_parse_int, 30),
-    "n_realizations": (_parse_int, 8),
-    "master_seed": (_parse_int, 1729),
-    "policy": (_parse_str, None),
-    "policies": (_parse_policies, list(ALL_POLICIES)),
-    "tau_min": (_parse_float, 5.0 / 512.0),
-    "tau_max": (_parse_float, 5.0),
-    "tau_grid_size": (_parse_int, 64),
-    "theta_grid_size": (_parse_int, 64),
-    "kpe_tau0": (_parse_float, 4.0),
-    "kpe_theta0": (_parse_float, 0.0),
+
+# PolicyConfig's search-grid and halving-schedule fields are config keys
+# under their own names, defaults and types; the policy kind and
+# coherence_time are set per command.
+_POLICY_KEYS = {
+    f.name: ({float: _parse_float, int: _parse_int}[type(f.default)], f.default)
+    for f in dataclasses.fields(PolicyConfig)
+    if f.name not in ("kind", "coherence_time")
+}
+
+_GRID_KEYS = {
     "b_min": (_parse_float, -20.0),
     "b_max": (_parse_float, 20.0),
     "n_points": (_parse_int, 2**12),
-    "true_field": (_parse_field, None),
-    "theta": (_parse_float, 0.0),
-    "coherence_times": (_parse_time_list, [2.0, 5.0, 10.0, math.inf]),
-    "outcomes": (_parse_outcomes, [0, 0, 0, 0, 0]),
-    "j_max": (_parse_int, 32),
 }
 
-_COMMON_KEYS = (
-    "b_min",
-    "b_max",
-    "n_points",
-)
+_PRIOR_KEYS = {
+    "prior_mean": (_parse_float, 0.0),
+    "prior_std": (_parse_float, 3.0 / math.sqrt(2.0)),
+}
 
+# command -> {key: (parser, default)}, every key the command accepts.
 _COMMAND_KEYS = {
-    "mi-surface": _COMMON_KEYS
-    + ("prior_mean", "prior_std", "theta", "coherence_times", "tau_min", "tau_max", "tau_grid_size"),
-    "compare": _COMMON_KEYS
-    + (
-        "prior_mean",
-        "prior_std",
-        "coherence_time",
-        "n_measurements",
-        "n_realizations",
-        "master_seed",
-        "policy",
-        "policies",
-        "tau_min",
-        "tau_max",
-        "tau_grid_size",
-        "theta_grid_size",
-        "kpe_tau0",
-        "kpe_theta0",
-        "true_field",
-    ),
-    "validate-alpha": ("j_max",),
-    "kpe-check": _COMMON_KEYS
-    + (
-        "coherence_time",
-        "tau_min",
-        "tau_max",
-        "tau_grid_size",
-        "theta_grid_size",
-        "kpe_tau0",
-        "kpe_theta0",
-        "outcomes",
-    ),
-}
-
-# kpe-check wants an anchored grid and a window that is a whole number of
-# posterior comb periods; these defaults override the shared ones.
-_COMMAND_DEFAULT_OVERRIDES = {
-    "kpe-check": {
-        "coherence_time": math.inf,
-        "tau_max": 4.0,
-        "tau_min": 4.0 / 512.0,
-        "b_min": -8.0 * math.pi,
-        "b_max": 8.0 * math.pi,
-        "n_points": 2**12,
-    },
     "mi-surface": {
-        "tau_min": 0.05,
-        "tau_grid_size": 128,
-        "n_points": 2**13,
+        **_GRID_KEYS,
+        "n_points": (_parse_int, 2**13),
+        **_PRIOR_KEYS,
+        "theta": (_parse_float, 0.0),
+        "coherence_times": (_parse_float_list, [2.0, 5.0, 10.0, math.inf]),
+        # a linspace of exposure times, not the policies' search grid
+        "tau_min": (_parse_float, 0.05),
+        "tau_max": (_parse_float, 5.0),
+        "tau_grid_size": (_parse_int, 128),
+    },
+    "compare": {
+        **_GRID_KEYS,
+        **_PRIOR_KEYS,
+        "coherence_time": (_parse_float, 10.0),
+        "n_measurements": (_parse_int, 30),
+        "n_realizations": (_parse_int, 8),
+        "master_seed": (_parse_int, 1729),
+        "policy": (_parse_policy, None),
+        "policies": (_parse_policies, list(POLICY_KINDS)),
+        **_POLICY_KEYS,
+        "true_field": (_parse_field, None),
+    },
+    "validate-alpha": {
+        "j_max": (_parse_int, 32),
+    },
+    # An anchored grid and a window that is a whole number of posterior
+    # comb periods.
+    "kpe-check": {
+        **_GRID_KEYS,
+        "b_min": (_parse_float, -8.0 * math.pi),
+        "b_max": (_parse_float, 8.0 * math.pi),
+        "coherence_time": (_parse_float, math.inf),
+        **_POLICY_KEYS,
+        "tau_min": (_parse_float, 4.0 / 512.0),
+        "tau_max": (_parse_float, 4.0),
+        "outcomes": (_parse_outcomes, [0, 0, 0, 0, 0]),
     },
 }
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value file into raw strings."""
+    """Parse a flat key = value file into raw strings; a key may appear once."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -202,23 +178,23 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}: key {key!r} set on line {first_line[key]} and again on line {lineno}")
+        first_line[key] = lineno
+        raw[key] = value.strip()
     return raw
 
 
 def resolve_config(command: str, config_path: str | None) -> dict:
     """Merge file values over command defaults, validating every key."""
-    allowed = _COMMAND_KEYS[command]
-    resolved = {}
-    overrides = _COMMAND_DEFAULT_OVERRIDES.get(command, {})
-    for key in allowed:
-        parser, default = _KEY_SPECS[key]
-        resolved[key] = overrides.get(key, default)
+    keys = _COMMAND_KEYS[command]
+    resolved = {key: default for key, (_, default) in keys.items()}
     if config_path is not None:
         for key, raw_value in read_config_file(config_path).items():
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError(f"unknown config key: {key!r}")
-            parser, _ = _KEY_SPECS[key]
+            parser, _ = keys[key]
             resolved[key] = parser(key, raw_value)
     return resolved
 
@@ -236,57 +212,24 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_distribution_csv(path: Path, d: FieldDistribution) -> None:
-    write_csv(path, ["b", "density"], list(zip(d.grid.points, d.density)))
-
-
-def write_alpha_csv(path: Path, a: AlphaSeries) -> None:
-    rows = [(j, float(v), a.method) for j, v in enumerate(a.coefficients)]
-    write_csv(path, ["j", "value", "method"], rows)
-
-
-def write_comb_csv(path: Path, c: DeltaComb) -> None:
-    rows = [(float(f), float(amp.real), float(amp.imag)) for f, amp in zip(c.frequencies, c.amplitudes)]
-    write_csv(path, ["xi", "re", "im"], rows)
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record: command, resolved config, artifacts."""
-
-    command: str
-    config: dict
-    artifacts: list[str]
-    duration_seconds: float
-
-    def write(self, path: Path) -> None:
-        lines = [
-            f"command = {self.command}",
-            f"version = {__version__}",
-            f"duration_seconds = {_fmt(self.duration_seconds)}",
-        ]
-        for key in sorted(self.config):
-            value = self.config[key]
-            if isinstance(value, list):
-                value = ",".join(_fmt(v) for v in value)
-            elif value is None:
-                value = "sample" if key == "true_field" else "none"
-            else:
-                value = _fmt(value)
-            lines.append(f"config.{key} = {value}")
-        for artifact in self.artifacts:
-            lines.append(f"artifact = {artifact}")
-        path.write_text("\n".join(lines) + "\n")
-
-
 def _finish(out_dir: Path, command: str, cfg: dict, artifacts: list[Path], t0: float) -> None:
-    manifest = RunManifest(
-        command=command,
-        config=cfg,
-        artifacts=[a.name for a in artifacts],
-        duration_seconds=time.perf_counter() - t0,
-    )
-    manifest.write(out_dir / "manifest.txt")
+    """Write manifest.txt: the command, the resolved config and the artifacts."""
+    lines = [
+        f"command = {command}",
+        f"version = {__version__}",
+        f"duration_seconds = {_fmt(time.perf_counter() - t0)}",
+    ]
+    for key in sorted(cfg):
+        value = cfg[key]
+        if isinstance(value, list):
+            value = ",".join(_fmt(v) for v in value)
+        elif value is None:
+            value = "sample" if key == "true_field" else "none"
+        else:
+            value = _fmt(value)
+        lines.append(f"config.{key} = {value}")
+    lines.extend(f"artifact = {a.name}" for a in artifacts)
+    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_mi_surface(cfg: dict, out_dir: Path) -> int:
@@ -309,31 +252,21 @@ def cmd_mi_surface(cfg: dict, out_dir: Path) -> int:
 def _policy_config(cfg: dict, kind: str) -> PolicyConfig:
     return PolicyConfig(
         kind=kind,
-        tau_min=cfg["tau_min"],
-        tau_max=cfg["tau_max"],
-        tau_grid_size=cfg["tau_grid_size"],
-        theta_grid_size=cfg["theta_grid_size"],
-        kpe_tau0=cfg["kpe_tau0"],
-        kpe_theta0=cfg["kpe_theta0"],
         coherence_time=cfg["coherence_time"],
+        **{key: cfg[key] for key in _POLICY_KEYS},
     )
 
 
 def cmd_compare(cfg: dict, out_dir: Path) -> int:
     """Run every requested policy with identical seeds; one CSV each."""
     t0 = time.perf_counter()
-    kinds = cfg["policies"]
-    if cfg.get("policy"):
-        if cfg["policy"] not in ALL_POLICIES:
-            raise ConfigError(f"key 'policy': unknown policy {cfg['policy']!r}")
-        kinds = [cfg["policy"]]
+    kinds = [cfg["policy"]] if cfg["policy"] else cfg["policies"]
     grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
     summaries = {}
     for kind in kinds:
         sim = SimConfig(
             prior_mean=cfg["prior_mean"],
             prior_std=cfg["prior_std"],
-            coherence_time=cfg["coherence_time"],
             n_measurements=cfg["n_measurements"],
             n_realizations=cfg["n_realizations"],
             master_seed=cfg["master_seed"],

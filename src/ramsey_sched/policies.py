@@ -61,7 +61,7 @@ from .bayes import (
     uniform_distribution,
 )
 
-POLICY_KINDS = ("random", "kpe", "myopic_entropy", "variance_min")
+POLICY_KINDS = ("random", "kpe", "variance_min", "myopic_entropy")
 
 # Kinds whose scoring has posterior-independent work that several
 # posteriors can share (the myopic MI entropy block).
@@ -263,7 +263,12 @@ def next_params_random(state: PolicyState, cfg: PolicyConfig, rng: np.random.Gen
 
 def next_params_kpe(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     """Halving schedule: first call returns the hyperparameters, then
-    tau halves and theta moves to (theta + pi * outcome) / 2 each step."""
+    tau halves and theta moves to (theta + pi * outcome) / 2 each step.
+
+    tau halves with no floor at tau_min: after about log2(kpe_tau0 /
+    tau_min) steps it falls below tau_min and later shots carry almost
+    no information.
+    """
     if not state.history:
         return RamseyParams(cfg.kpe_tau0, cfg.kpe_theta0, coherence_time=cfg.coherence_time)
     prev_params, prev_outcome = state.history[-1]

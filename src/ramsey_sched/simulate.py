@@ -45,12 +45,12 @@ class SimConfig:
 
     true_field of None means each trial samples its own true value from
     the Gaussian prior; a float pins it (useful for debugging and
-    oracle tests).
+    oracle tests) and must lie on the grid.  Outcomes are drawn with the
+    policy's coherence_time.
     """
 
     prior_mean: float
     prior_std: float
-    coherence_time: float
     n_measurements: int
     n_realizations: int
     master_seed: int
@@ -61,8 +61,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.prior_std > 0.0:
             raise ValueError(f"require prior_std > 0, got {self.prior_std}")
-        if not self.coherence_time > 0.0:
-            raise ValueError(f"require coherence_time > 0, got {self.coherence_time}")
         if self.n_measurements < 0:
             raise ValueError(f"require n_measurements >= 0, got {self.n_measurements}")
         if self.n_realizations < 1:
@@ -74,10 +72,10 @@ class SimConfig:
                 f"grid [{self.grid.b_min}, {self.grid.b_max}] must cover prior_mean +- 6 std "
                 f"([{lo}, {hi}])"
             )
-        if self.policy.coherence_time != self.coherence_time:
+        if self.true_field is not None and not self.grid.b_min <= self.true_field <= self.grid.b_max:
             raise ValueError(
-                "policy.coherence_time must match the simulation coherence_time "
-                f"({self.policy.coherence_time} != {self.coherence_time})"
+                f"true_field {self.true_field} lies outside the grid "
+                f"[{self.grid.b_min}, {self.grid.b_max}]"
             )
 
 

@@ -194,7 +194,6 @@ def test_criterion_5_policy_comparison():
         cfg = SimConfig(
             prior_mean=0.0,
             prior_std=PRIOR_STD,
-            coherence_time=10.0,
             n_measurements=30,
             n_realizations=8,
             master_seed=1729,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,17 +10,9 @@ import pytest
 
 import ramsey_sched
 from ramsey_sched import simulate
-from ramsey_sched.bayes import FieldGrid, ZeroEvidence, uniform_distribution
-from ramsey_sched.cli import (
-    ConfigError,
-    main,
-    read_config_file,
-    resolve_config,
-    write_alpha_csv,
-    write_comb_csv,
-    write_distribution_csv,
-)
-from ramsey_sched.fourier import alpha_series_quadrature, kpe_posterior_comb
+from ramsey_sched.bayes import ZeroEvidence
+from ramsey_sched.cli import ConfigError, main, read_config_file, resolve_config
+from ramsey_sched.policies import PolicyConfig
 
 
 def _write(tmp_path, name, text):
@@ -70,6 +63,75 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             read_config_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = _write(tmp_path, "c.cfg", "master_seed = 1\nprior_std = 2.0\n\nmaster_seed = 2\n")
+        with pytest.raises(ConfigError, match="'master_seed' set on line 1 and again on line 4"):
+            read_config_file(path)
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("compare", "policies"), ("mi-surface", "coherence_times"), ("kpe-check", "outcomes")],
+    )
+    def test_empty_list_rejected(self, tmp_path, command, key):
+        path = _write(tmp_path, "c.cfg", f"{key} = , \n")
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(command, path)
+
+    def test_empty_policy_means_policies(self, tmp_path):
+        cfg = resolve_config("compare", _write(tmp_path, "c.cfg", "policy =\npolicies = kpe\n"))
+        assert cfg["policy"] == "" and cfg["policies"] == ["kpe"]
+
+
+PRIOR_STD = 2.1213203435596424  # 3 / sqrt(2)
+
+# The resolved configuration of each command run without a config file.
+DEFAULTS = {
+    "mi-surface": {
+        "b_min": -20.0, "b_max": 20.0, "n_points": 8192,
+        "prior_mean": 0.0, "prior_std": PRIOR_STD, "theta": 0.0,
+        "coherence_times": [2.0, 5.0, 10.0, math.inf],
+        "tau_min": 0.05, "tau_max": 5.0, "tau_grid_size": 128,
+    },
+    "compare": {
+        "b_min": -20.0, "b_max": 20.0, "n_points": 4096,
+        "prior_mean": 0.0, "prior_std": PRIOR_STD, "coherence_time": 10.0,
+        "n_measurements": 30, "n_realizations": 8, "master_seed": 1729,
+        "policy": None, "policies": ["random", "kpe", "variance_min", "myopic_entropy"],
+        "tau_min": 0.009765625, "tau_max": 5.0, "tau_grid_size": 64, "theta_grid_size": 64,
+        "kpe_tau0": 4.0, "kpe_theta0": 0.0, "true_field": None,
+    },
+    "validate-alpha": {"j_max": 32},
+    "kpe-check": {
+        "b_min": -25.132741228718345, "b_max": 25.132741228718345, "n_points": 4096,
+        "coherence_time": math.inf,
+        "tau_min": 0.0078125, "tau_max": 4.0, "tau_grid_size": 64, "theta_grid_size": 64,
+        "kpe_tau0": 4.0, "kpe_theta0": 0.0, "outcomes": [0, 0, 0, 0, 0],
+    },
+}
+
+POLICY_KEYS = ("tau_min", "tau_max", "tau_grid_size", "theta_grid_size", "kpe_tau0", "kpe_theta0")
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_defaults_pinned(self, command):
+        cfg = resolve_config(command, None)
+        assert cfg == DEFAULTS[command]
+        assert all(type(cfg[k]) is type(v) for k, v in DEFAULTS[command].items())
+
+    def test_compare_policy_keys_take_policy_config_defaults(self):
+        cfg = resolve_config("compare", None)
+        default = PolicyConfig()
+        assert {k: cfg[k] for k in POLICY_KEYS} == {k: getattr(default, k) for k in POLICY_KEYS}
+        # every field but the kind is a compare key
+        fields = {f.name for f in dataclasses.fields(PolicyConfig)}
+        assert fields - set(cfg) == {"kind"}
+
+    def test_policy_key_names_one_policy(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.cfg", "policy = kpe,random\n")
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown policy 'kpe,random'" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -105,6 +167,13 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: trial 2, step 3, master_seed 4242: outcome")
+        assert not list(out.glob("*.csv"))
+
+    def test_true_field_off_grid_is_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.cfg", "true_field = 35\nn_measurements = 1\nn_realizations = 1\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", path, "--out", str(out)]) == 2
+        assert "true_field 35.0 lies outside the grid [-20.0, 20.0]" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
 
@@ -232,32 +301,3 @@ class TestKpeCheck:
         assert code == 1
         assert (out / "kpe_check.csv").exists()  # the report is still written
         assert "diverge" in capsys.readouterr().err
-
-
-class TestArtifactWriters:
-    def test_distribution_csv(self, tmp_path):
-        g = FieldGrid(-1.0, 1.0, 5)
-        d = uniform_distribution(g)
-        path = tmp_path / "d.csv"
-        write_distribution_csv(path, d)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "b,density"
-        assert len(lines) == 6
-        assert float(lines[1].split(",")[1]) == pytest.approx(0.5)
-
-    def test_alpha_csv(self, tmp_path):
-        a = alpha_series_quadrature(3)
-        path = tmp_path / "a.csv"
-        write_alpha_csv(path, a)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "j,value,method"
-        assert lines[1].endswith("quadrature")
-        assert len(lines) == 5
-
-    def test_comb_csv(self, tmp_path):
-        c = kpe_posterior_comb(1, 1.0)
-        path = tmp_path / "c.csv"
-        write_comb_csv(path, c)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "xi,re,im"
-        assert len(lines) == 4

@@ -34,12 +34,11 @@ def _cfg(kind="random", **kw):
         theta_grid_size=kw.pop("theta_grid_size", 12),
         kpe_tau0=kw.pop("kpe_tau0", 2.0),
         kpe_theta0=kw.pop("kpe_theta0", 0.0),
-        coherence_time=kw.get("coherence_time", 8.0),
+        coherence_time=kw.pop("coherence_time", 8.0),
     )
     defaults = dict(
         prior_mean=0.0,
         prior_std=1.5,
-        coherence_time=8.0,
         n_measurements=6,
         n_realizations=3,
         master_seed=99,
@@ -56,14 +55,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _cfg(prior_std=5.0)  # 6 sigma = 30 > 20
 
-    def test_policy_coherence_must_match(self):
-        policy = PolicyConfig(kind="random", coherence_time=3.0)
-        with pytest.raises(ValueError):
-            SimConfig(
-                prior_mean=0.0, prior_std=1.0, coherence_time=8.0,
-                n_measurements=2, n_realizations=1, master_seed=0,
-                policy=policy, grid=GRID,
-            )
+    @pytest.mark.parametrize("true_field", [35.0, -20.5, math.nan])
+    def test_true_field_must_lie_on_grid(self, true_field):
+        with pytest.raises(ValueError, match=rf"true_field {true_field} .*\[-20.0, 20.0\]"):
+            _cfg(true_field=true_field)
+
+    @pytest.mark.parametrize("true_field", [-20.0, 20.0])
+    def test_true_field_on_grid_edge_is_accepted(self, true_field):
+        assert _cfg(true_field=true_field).true_field == true_field
 
 
 class TestSampleOutcome:
@@ -129,7 +128,7 @@ class TestRunTrial:
             kpe_theta0=0.0, coherence_time=math.inf,
         )
         cfg = SimConfig(
-            prior_mean=0.0, prior_std=12.0, coherence_time=math.inf,
+            prior_mean=0.0, prior_std=12.0,
             n_measurements=5, n_realizations=1, master_seed=3,
             policy=policy, grid=FieldGrid(-80.0, 80.0, 2**14),
         )
@@ -222,7 +221,7 @@ class TestBayesianConsistency:
             tau_grid_size=40, theta_grid_size=40, coherence_time=10.0,
         )
         cfg = SimConfig(
-            prior_mean=0.0, prior_std=3.0 / math.sqrt(2.0), coherence_time=10.0,
+            prior_mean=0.0, prior_std=3.0 / math.sqrt(2.0),
             n_measurements=30, n_realizations=50, master_seed=2024,
             policy=policy, grid=FieldGrid(-20.0, 20.0, 2**11),
         )
