@@ -142,8 +142,8 @@ def spike_distribution(grid: FieldGrid, b0: float) -> FieldDistribution:
 class RamseyParams:
     """Controls and constants of one Ramsey measurement.
 
-    tau: exposure time (>= 0).
-    theta: readout phase, wrapped into [0, 2*pi) at construction.
+    tau: exposure time (finite, >= 0).
+    theta: readout phase (finite), wrapped into [0, 2*pi) at construction.
     coherence_time: dephasing time T; ``math.inf`` is the exact
         no-decoherence case (contrast factor exactly 1).
     mu: coupling constant, 1 in natural units.
@@ -155,8 +155,10 @@ class RamseyParams:
     mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tau >= 0.0:
-            raise ValueError(f"require tau >= 0, got {self.tau}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"require finite tau >= 0, got {self.tau}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"require finite theta, got {self.theta}")
         if not self.coherence_time > 0.0:
             raise ValueError(f"require coherence_time > 0, got {self.coherence_time}")
         if not self.mu > 0.0:

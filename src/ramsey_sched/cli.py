@@ -235,6 +235,8 @@ def _finish(out_dir: Path, command: str, cfg: dict, artifacts: list[Path], t0: f
 def cmd_mi_surface(cfg: dict, out_dir: Path) -> int:
     """Single-measurement information over a (T, tau) grid."""
     t0 = time.perf_counter()
+    if cfg["tau_grid_size"] < 1:
+        raise ConfigError(f"key 'tau_grid_size': require >= 1, got {cfg['tau_grid_size']}")
     grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
     prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
     taus = np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])

@@ -40,6 +40,29 @@ cell by cell, up to float roundoff:
   outcome is certain (l = 0, possible only at T = inf), and about four
   times faster than ``xlogy``.  (numpy's vectorised log and the C
   library log that ``xlogy`` calls can differ in the last bit.)
+
+The myopic choosers build only the tau rows that can hold the best cell
+(``_myopic_choices``).  Each cell's MI has two closed-form upper bounds:
+
+- H(X) - 4 ln2 sum_b q l0 l1, since h(l) >= 4 ln2 l(1 - l) (Topsoe,
+  "Bounds for entropy and divergence for distributions over a
+  two-element set", 2001);
+- ln(1 + Var_q(l0) / (p0 p1)), since KL <= ln(1 + chi^2) (Sason and
+  Verdu, "f-Divergence Inequalities", 2016) and ln is concave (Jensen);
+  it is +inf where p0 p1 = 0.
+
+The trapezoid weights are positive, so both hold on the grid, not only
+in the continuum, and both need only four moments per tau: q against c,
+s, cos 4 tau b = c^2 - s^2 and sin 4 tau b = 2cs.  A row is skipped when
+the largest bound over its cells is below the best exact score less
+``TIE_TOL`` less ``_BOUND_MARGIN``.  The margin is needed because the
+bounds are tight where every likelihood is 0, 1/2 or 1 (a posterior on
+one grid point, or a contrast near 0): there the bound and the exact
+score agree to rounding, and the bound can come out 1e-16 below.  Only
+whole rows are skipped: a kept row is built by the same block product
+as in the full matrix, so its scores, and the chosen cell, are
+bit-identical (block products over 1 or 2 theta rows can differ in the
+last bits from the full block's).
 """
 
 from __future__ import annotations
@@ -75,6 +98,12 @@ _EV_MASS_FLOOR = 1e-300
 # ln is taken of max(l, _TINY), so that l ln l reads 0 at l = 0.
 _TINY = np.finfo(float).tiny
 
+# A tau row is skipped only if its MI bound is below the best score by
+# more than TIE_TOL plus this allowance for rounding in the bound.
+_BOUND_MARGIN = 1e-12
+
+_FOUR_LN2 = 4.0 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -102,8 +131,10 @@ class PolicyConfig:
             raise ValueError(f"require 0 < tau_min < tau_max < inf, got [{self.tau_min}, {self.tau_max}]")
         if self.tau_grid_size < 1 or self.theta_grid_size < 1:
             raise ValueError("grid sizes must be positive")
-        if not self.kpe_tau0 > 0.0:
-            raise ValueError(f"require kpe_tau0 > 0, got {self.kpe_tau0}")
+        if not 0.0 < self.kpe_tau0 < math.inf:
+            raise ValueError(f"require finite kpe_tau0 > 0, got {self.kpe_tau0}")
+        if not math.isfinite(self.kpe_theta0):
+            raise ValueError(f"require finite kpe_theta0, got {self.kpe_theta0}")
         if not self.coherence_time > 0.0:
             raise ValueError(f"require coherence_time > 0, got {self.coherence_time}")
         object.__setattr__(self, "kpe_theta0", float(self.kpe_theta0) % TWO_PI)
@@ -169,17 +200,30 @@ def _full_theta(scored: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
     return np.concatenate((scored, scored), axis=-1)
 
 
-def _mi_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
+def _shared_grid(ds: Sequence[FieldDistribution]) -> FieldGrid:
+    grid = ds[0].grid
+    if any(d.grid != grid for d in ds):
+        raise ValueError("posteriors scored together must share one grid")
+    return grid
+
+
+def _mi_matrix(
+    ds: Sequence[FieldDistribution], cfg: PolicyConfig, need: np.ndarray | None = None
+) -> np.ndarray:
     """Mutual information for every (posterior, tau, theta) cell, natural units.
 
     The posteriors must share one grid.  Each tau's entropy block is built
     once and scored against every posterior; posterior r's scores are
-    bit-identical to those of ``_mi_matrix([ds[r]], cfg)``.
+    bit-identical to those of ``_mi_matrix([ds[r]], cfg)``.  ``need``, an
+    optional (posterior, tau) boolean mask, limits the work to the rows it
+    marks: a tau's block is built only if some posterior needs that row,
+    and rows left out read -inf.  The rows kept are bit-identical to the
+    full matrix's.
     """
-    grid = ds[0].grid
-    if any(d.grid != grid for d in ds):
-        raise ValueError("posteriors scored together must share one grid")
+    grid = _shared_grid(ds)
     taus = tau_search_grid(cfg)
+    if need is None:
+        need = np.ones((len(ds), len(taus)), dtype=bool)
     n_theta = _scored_theta_count(cfg)
     thetas = theta_search_grid(cfg)[:n_theta]
     qs = [grid.trapz_weights * d.density for d in ds]
@@ -190,8 +234,10 @@ def _mi_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray
     l0 = np.empty((n_theta, grid.n_points))
     l1 = np.empty_like(l0)
     xlx = np.empty_like(l0)
-    out = np.empty((len(ds), len(taus), n_theta))
+    out = np.full((len(ds), len(taus), n_theta), -np.inf)
     for i, tau in enumerate(taus):
+        if not need[:, i].any():
+            continue
         c, s = _tau_trig(key, float(tau))
         half_c = 0.5 * math.exp(-tau / cfg.coherence_time)
         np.multiply(cos_t[:, None], c, out=l0)
@@ -209,13 +255,59 @@ def _mi_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray
         np.log(l0, out=l0)
         l0 *= l1
         xlx += l0
-        for r, (q, q0) in enumerate(zip(qs, q0s)):
+        for r in np.flatnonzero(need[:, i]):
+            q, q0 = qs[r], q0s[r]
             p0 = 0.5 * q0 + half_c * (cos_t * float(q @ c) - sin_t * float(q @ s))
             np.clip(p0, 0.0, q0, out=p0)
             p1 = q0 - p0
             h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
             out[r, i] = h_x + xlx @ q
     return _full_theta(out, cfg)
+
+
+def _mi_row_bounds(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
+    """Upper bound on the largest MI score of every (posterior, tau) row.
+
+    Each scored cell takes the smaller of its two closed-form bounds (see
+    the module docstring); a row's bound is the largest over its cells.
+    """
+    grid = _shared_grid(ds)
+    taus = tau_search_grid(cfg)
+    thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
+    qs = np.stack([grid.trapz_weights * d.density for d in ds])
+    key = _grid_key(grid)
+    trig = np.empty((4, grid.n_points))
+    moments = np.empty((4, len(ds), len(taus)))
+    for i, tau in enumerate(taus):
+        c, s = _tau_trig(key, float(tau))
+        trig[0] = c
+        trig[1] = s
+        np.multiply(c, c, out=trig[2])
+        trig[2] -= s * s
+        np.multiply(c, s, out=trig[3])
+        trig[3] *= 2.0
+        moments[:, :, i] = trig @ qs.T
+    # every array below is (posterior, tau, theta)
+    q_c, q_s, q_c4, q_s4 = moments[..., None]
+    q0 = qs.sum(axis=1)[:, None, None]
+    half_c = 0.5 * np.exp(-taus / cfg.coherence_time)[:, None]
+    # u = cos(2 tau b + theta), so l0 = 1/2 + half_c u and l0 l1 =
+    # 1/4 - half_c^2 u^2, where u^2 = (1 + cos(4 tau b + 2 theta)) / 2
+    q_u = np.cos(thetas) * q_c - np.sin(thetas) * q_s
+    q_uu = 0.5 * (q0 + np.cos(2.0 * thetas) * q_c4 - np.sin(2.0 * thetas) * q_s4)
+    p0 = np.clip(0.5 * q0 + half_c * q_u, 0.0, q0)
+    p1 = q0 - p0
+    h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+    hc2 = half_c * half_c
+    topsoe = h_x - _FOUR_LN2 * (0.25 * q0 - hc2 * q_uu)
+    # chi^2 of l against p, averaged over the normalised posterior; the
+    # q0 factor and -q0 ln q0 carry the bound to a density whose
+    # trapezoid mass is not exactly 1, as the kernel's H(X) does
+    var = hc2 * np.maximum(q0 * q_uu - q_u * q_u, 0.0)
+    pp = p0 * p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi2 = np.where(pp > 0.0, q0 * np.log1p(var / pp) - xlogy(q0, q0), np.inf)
+    return np.minimum(topsoe, chi2).max(axis=-1)
 
 
 def _expected_variance_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
@@ -282,9 +374,35 @@ def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
     return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
 
 
+def _myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
+    """Tie-rule cell of each posterior's MI matrix, building only the tau
+    rows whose bound can reach that posterior's best score.
+
+    The first pass builds each posterior's highest-bound row and scores
+    every posterior on the blocks it builds, so that the second pass
+    builds none of them again; the second pass scores the other rows
+    whose bound is within ``TIE_TOL`` plus ``_BOUND_MARGIN`` of the best
+    score found.  Every row that holds a cell within ``TIE_TOL`` of the
+    optimum is scored exactly as ``_mi_matrix`` scores it, so the chosen
+    cells are those of the full matrix.
+    """
+    bounds = _mi_row_bounds(ds, cfg)
+    first = np.zeros(bounds.shape, dtype=bool)
+    first[:, bounds.argmax(axis=1)] = True
+    scores = _mi_matrix(ds, cfg, first)
+    best = scores.max(axis=(1, 2))
+    rest = (bounds >= (best - TIE_TOL - _BOUND_MARGIN)[:, None]) & ~first
+    scores = np.maximum(scores, _mi_matrix(ds, cfg, rest))
+    return [_best_params(m, cfg) for m in scores]
+
+
 def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
-    """Exhaustive grid argmax of single-measurement mutual information."""
-    return _best_params(_mi_matrix([state.posterior], cfg)[0], cfg)
+    """Grid argmax of single-measurement mutual information.
+
+    The cell is that of an exhaustive scan; tau rows whose MI bound
+    rules them out are skipped (``_myopic_choices``).
+    """
+    return _myopic_choices([state.posterior], cfg)[0]
 
 
 def next_params_variance_min(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
@@ -314,13 +432,14 @@ def next_params_lockstep(
 ) -> list[RamseyParams]:
     """``next_params`` for each (state, rng) pair, in order.
 
-    The myopic policy scores every posterior in one ``_mi_matrix`` call,
-    which builds each tau's entropy block once for all of them; the
-    choices equal those of ``next_params`` bit for bit.  Kinds outside
+    The myopic policy scores every posterior in the same
+    ``_myopic_choices`` call, which builds each tau's entropy block at
+    most once for all of them; the choices equal those of ``next_params``
+    bit for bit.  Kinds outside
     ``LOCKSTEP_KINDS`` have nothing to share and go one state at a time.
     """
     if cfg.kind in LOCKSTEP_KINDS:
-        return [_best_params(m, cfg) for m in _mi_matrix([s.posterior for s in states], cfg)]
+        return _myopic_choices([s.posterior for s in states], cfg)
     return [next_params(state, cfg, rng) for state, rng in zip(states, rngs)]
 
 

@@ -7,7 +7,8 @@ spread.
 
 ``run_trials`` is the one trial loop.  Myopic trials advance in
 lockstep: at each step every trial's posterior is scored against one
-shared entropy block per tau, then each trial samples its outcome and
+shared entropy block per tau (for the taus that some trial's MI bound
+does not rule out), then each trial samples its outcome and
 updates on its own.  The other kinds share no scoring work and run one
 trial at a time.  Each trial draws from its own stream, derived from
 (master_seed, trial_index), in a fixed order (true field, the policy's

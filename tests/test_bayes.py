@@ -137,6 +137,15 @@ class TestRamseyParams:
         with pytest.raises(ValueError):
             RamseyParams(1.0, 0.0, coherence_time=0.0)
 
+    @pytest.mark.parametrize("tau, theta, named", [
+        (math.inf, 0.0, "tau"), (math.nan, 0.0, "tau"),
+        (1.0, math.inf, "theta"), (1.0, -math.inf, "theta"), (1.0, math.nan, "theta"),
+    ])
+    def test_non_finite_controls_rejected(self, tau, theta, named):
+        # an infinite theta would wrap to nan, an infinite tau has no phase
+        with pytest.raises(ValueError, match=f"finite {named}"):
+            RamseyParams(tau, theta)
+
 
 class TestPredictiveProb:
     def test_spike_sifts_likelihood(self):

@@ -176,6 +176,30 @@ class TestExitCodes:
         assert "true_field 35.0 lies outside the grid [-20.0, 20.0]" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command, line, named", [
+        ("mi-surface", "theta = inf", "finite theta, got inf"),
+        ("mi-surface", "theta = nan", "finite theta, got nan"),
+        ("compare", "kpe_theta0 = inf", "finite kpe_theta0, got inf"),
+        ("compare", "kpe_theta0 = nan", "finite kpe_theta0, got nan"),
+        ("compare", "kpe_tau0 = inf", "finite kpe_tau0 > 0, got inf"),
+        ("kpe-check", "kpe_theta0 = -inf", "finite kpe_theta0, got -inf"),
+    ])
+    def test_non_finite_control_is_2(self, tmp_path, capsys, command, line, named):
+        # rejected where the value is made, before any scoring or output
+        path = _write(tmp_path, "c.cfg", line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: require {named}\n"
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_mi_surface_needs_a_tau(self, tmp_path, capsys, size):
+        path = _write(tmp_path, "c.cfg", f"tau_grid_size = {size}\n")
+        out = tmp_path / "out"
+        assert main(["mi-surface", "--config", path, "--out", str(out)]) == 2
+        assert f"key 'tau_grid_size': require >= 1, got {size}" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ramsey_sched import cli
 from ramsey_sched.bayes import (
+    FieldDistribution,
     FieldGrid,
     RamseyParams,
     bayes_update,
@@ -15,11 +17,14 @@ from ramsey_sched.bayes import (
     uniform_distribution,
 )
 from ramsey_sched.policies import (
+    _BOUND_MARGIN,
+    TIE_TOL,
     PolicyConfig,
     PolicyState,
     _best_cell,
     _expected_variance_matrix,
     _mi_matrix,
+    _mi_row_bounds,
     compare_kpe_to_myopic,
     next_params,
     next_params_kpe,
@@ -27,9 +32,12 @@ from ramsey_sched.policies import (
     next_params_myopic_entropy,
     next_params_random,
     next_params_variance_min,
+    tau_cell_index,
     tau_search_grid,
+    theta_cell_index,
     theta_search_grid,
 )
+from ramsey_sched.simulate import SimConfig, run_trials
 
 GRID = FieldGrid(-20.0, 20.0, 2**11)
 
@@ -62,6 +70,14 @@ class TestPolicyConfig:
             PolicyConfig(tau_min=2.0, tau_max=1.0)
         with pytest.raises(ValueError):
             PolicyConfig(kpe_tau0=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("kpe_tau0", math.inf), ("kpe_tau0", math.nan),
+        ("kpe_theta0", math.inf), ("kpe_theta0", -math.inf), ("kpe_theta0", math.nan),
+    ])
+    def test_non_finite_kpe_seed_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"finite {key}"):
+            PolicyConfig(**{key: value})
 
     def test_kpe_theta0_wrapped(self):
         assert PolicyConfig(kpe_theta0=-0.5).kpe_theta0 == pytest.approx(2 * math.pi - 0.5)
@@ -415,6 +431,162 @@ class TestLockstepMiKernel:
             got = next_params_lockstep(states, cfg, [np.random.default_rng(i) for i in range(3)])
             want = [next_params(s, cfg, np.random.default_rng(i)) for i, s in enumerate(states)]
             assert got == want
+
+
+def _random_posteriors(grid, coherence_time, seed, count):
+    # Gaussians of random centre and width, each after 1-7 random shots
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        d = gaussian_distribution(grid, rng.uniform(-3.0, 3.0), rng.uniform(0.3, 3.0))
+        for _ in range(rng.integers(1, 8)):
+            p = RamseyParams(rng.uniform(0.05, 4.0), rng.uniform(0.0, 2 * math.pi), coherence_time)
+            d = bayes_update(d, p, int(rng.integers(2)))
+        out.append(d)
+    return out
+
+
+def _two_point_posterior(grid, b0, b1):
+    dens = np.zeros(grid.n_points)
+    for b in (b0, b1):
+        k = int(np.argmin(np.abs(grid.points - b)))
+        dens[k] = 0.5 / grid.trapz_weights[k]
+    return FieldDistribution(grid, dens)
+
+
+def _myopic_trajectory(grid, cfg, seed, steps):
+    # posteriors met by a myopic run on a true field drawn from the prior
+    rng = np.random.default_rng(seed)
+    b_true = rng.normal(0.0, 2.0)
+    d = gaussian_distribution(grid, 0.0, 3.0 / math.sqrt(2.0))
+    for _ in range(steps):
+        yield d
+        p = next_params_myopic_entropy(_state(d), cfg)
+        d = bayes_update(d, p, 0 if rng.random() < likelihood(0, b_true, p) else 1)
+
+
+class TestBoundPrunedChoice:
+    def _assert_bound_covers_rows(self, ds, cfg):
+        bounds = _mi_row_bounds(ds, cfg)
+        assert bounds.shape == (len(ds), cfg.tau_grid_size)
+        assert np.all(bounds >= _mi_matrix(ds, cfg).max(axis=2) - _BOUND_MARGIN)
+
+    @pytest.mark.parametrize("theta_grid_size", [12, 9])
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_bound_covers_every_cell(self, coherence_time, theta_grid_size):
+        cfg = PolicyConfig(
+            tau_min=0.05, tau_max=4.0, tau_grid_size=16,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        # one-point posteriors carry no information: their bound is 0 and
+        # the exact score is 0 up to rounding, on either side
+        spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 39)]
+        ds = _random_posteriors(GRID, coherence_time, 7, 6) + spikes
+        self._assert_bound_covers_rows(ds + [uniform_distribution(GRID)], cfg)
+
+    def test_bound_on_the_rounding_grid(self):
+        grid, cfg, _, spike = _rounding_case()
+        self._assert_bound_covers_rows(_distinct_posteriors(grid, math.inf) + [spike], cfg)
+
+    def test_bound_is_tight_where_outcomes_are_certain(self):
+        # T = inf, mass 1/2 on b = 0 and b = pi/4: at tau = 2, theta = 0
+        # the outcome is certain at both points, so MI = H(X) = ln 2 and
+        # both bounds equal it
+        grid, cfg, _, _ = _rounding_case()
+        d = _two_point_posterior(grid, 0.0, math.pi / 4.0)
+        row = _mi_matrix([d], cfg)[0, -1]
+        assert row.max() == pytest.approx(math.log(2.0), abs=1e-15)
+        self._assert_bound_covers_rows([d], cfg)
+        assert _mi_row_bounds([d], cfg)[0, -1] == pytest.approx(math.log(2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("n_points", [2**11, 2**12])
+    @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
+    def test_pruned_choice_equals_full_scan(self, n_points, coherence_time):
+        grid = FieldGrid(-20.0, 20.0, n_points)
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
+            theta_grid_size=16, coherence_time=coherence_time,
+        )
+        kept = []
+        for seed in range(5):
+            for d in _myopic_trajectory(grid, cfg, seed, 10):
+                full = _mi_matrix([d], cfg)[0]
+                p = next_params_myopic_entropy(_state(d), cfg)
+                assert (p.tau, p.theta) == _best_cell(full, cfg)
+                bounds = _mi_row_bounds([d], cfg)[0]
+                kept.append(np.mean(bounds >= full.max() - TIE_TOL - _BOUND_MARGIN))
+        # the bound rules out most rows (the point of pruning)
+        assert np.mean(kept) < 0.5
+
+    def test_lockstep_choice_equals_each_posterior_alone(self):
+        grid = FieldGrid(-20.0, 20.0, 2**11)
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
+            theta_grid_size=16, coherence_time=10.0,
+        )
+        # four posteriors at different depths keep different rows
+        ds = [list(_myopic_trajectory(grid, cfg, seed, steps))[-1]
+              for seed, steps in ((0, 1), (1, 4), (2, 7), (3, 10))]
+        states = [_state(d) for d in ds]
+        chosen = next_params_lockstep(states, cfg, [None] * len(ds))
+        assert chosen == [next_params_myopic_entropy(state, cfg) for state in states]
+        full = _mi_matrix(ds, cfg)
+        assert [(p.tau, p.theta) for p in chosen] == [_best_cell(m, cfg) for m in full]
+
+    @pytest.mark.parametrize("theta_grid_size", [12, 9])
+    def test_partial_mask_keeps_rows_bit_for_bit(self, theta_grid_size):
+        cfg = PolicyConfig(
+            tau_min=0.05, tau_max=4.0, tau_grid_size=6,
+            theta_grid_size=theta_grid_size, coherence_time=10.0,
+        )
+        ds = _distinct_posteriors(GRID, 10.0)
+        need = np.array([
+            [1, 0, 0, 1, 0, 1],
+            [1, 0, 1, 0, 0, 1],
+            [0, 0, 0, 0, 0, 1],
+        ], dtype=bool)
+        got = _mi_matrix(ds, cfg, need)
+        full = _mi_matrix(ds, cfg)
+        assert np.array_equal(got[need], full[need])
+        assert np.all(got[~need] == -np.inf)
+
+
+class TestPinnedMyopicCells:
+    # (tau index, theta index) the myopic policy chose at the default
+    # configurations, recorded before rows were pruned; cell indices hold
+    # across platforms where float bytes may not
+    KPE_CHECK = [(56, 0), (49, 0), (42, 0), (35, 0), (28, 0)]
+    COMPARE_TRIAL_0 = [
+        (36, 16), (39, 29), (43, 22), (47, 14), (35, 31),
+        (50, 24), (53, 4), (43, 8), (56, 2), (57, 11),
+    ]
+
+    @staticmethod
+    def _cells(cfg, params):
+        return [(tau_cell_index(cfg, tau), theta_cell_index(cfg, theta)) for tau, theta in params]
+
+    def test_default_kpe_check(self):
+        keys = cli.resolve_config("kpe-check", None)
+        cfg = cli._policy_config(keys, "myopic_entropy")
+        rows = compare_kpe_to_myopic(
+            keys["outcomes"], cfg, FieldGrid(keys["b_min"], keys["b_max"], keys["n_points"])
+        )
+        assert self._cells(cfg, [(r.myopic_tau, r.myopic_theta) for r in rows]) == self.KPE_CHECK
+
+    def test_default_compare_trial_0(self):
+        # the first 10 steps of trial 0 are those of the 30-step run: a
+        # trial's draws do not depend on the run length or the other trials
+        keys = cli.resolve_config("compare", None)
+        cfg = cli._policy_config(keys, "myopic_entropy")
+        sim = SimConfig(
+            prior_mean=keys["prior_mean"], prior_std=keys["prior_std"],
+            n_measurements=10, n_realizations=keys["n_realizations"],
+            master_seed=keys["master_seed"], policy=cfg,
+            grid=FieldGrid(keys["b_min"], keys["b_max"], keys["n_points"]),
+            true_field=keys["true_field"],
+        )
+        records = run_trials(sim, [0])[0].records
+        assert self._cells(cfg, [(r.tau, r.theta) for r in records]) == self.COMPARE_TRIAL_0
 
 
 class TestKpeMyopicComparison:
