@@ -7,8 +7,8 @@ equals prior entropy minus expected posterior entropy, predictive
 probabilities summing to one, update order independence) hold to float
 precision instead of only in the continuum limit.
 
-All quantities are in natural units: the coupling constant defaults to 1
-and exposure/coherence times are the corresponding rescaled quantities.
+All quantities are in natural units: the coupling constant is 1 and
+exposure/coherence times are the corresponding rescaled quantities.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def distribution_from_density(grid: FieldGrid, values: np.ndarray) -> FieldDistr
 
 
 def gaussian_distribution(grid: FieldGrid, mean: float, std: float) -> FieldDistribution:
-    if std <= 0.0:
-        raise ValueError(f"require std > 0, got {std}")
+    if not 0.0 < std < math.inf:
+        raise ValueError(f"require finite std > 0, got {std}")
     z = (grid.points - mean) / std
     return distribution_from_density(grid, np.exp(-0.5 * z * z))
 
@@ -146,13 +146,11 @@ class RamseyParams:
     theta: readout phase (finite), wrapped into [0, 2*pi) at construction.
     coherence_time: dephasing time T; ``math.inf`` is the exact
         no-decoherence case (contrast factor exactly 1).
-    mu: coupling constant, 1 in natural units.
     """
 
     tau: float
     theta: float
     coherence_time: float = math.inf
-    mu: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau < math.inf:
@@ -161,8 +159,6 @@ class RamseyParams:
             raise ValueError(f"require finite theta, got {self.theta}")
         if not self.coherence_time > 0.0:
             raise ValueError(f"require coherence_time > 0, got {self.coherence_time}")
-        if not self.mu > 0.0:
-            raise ValueError(f"require mu > 0, got {self.mu}")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
     @property
@@ -174,14 +170,14 @@ class RamseyParams:
 def likelihood(x: int, b, p: RamseyParams):
     """Probability of outcome ``x`` given field value(s) ``b``.
 
-    Outcome 0 has probability 1/2 + exp(-tau/T) cos(2 mu b tau + theta)/2;
+    Outcome 0 has probability 1/2 + exp(-tau/T) cos(2 b tau + theta)/2;
     outcome 1 is computed as its exact complement, so the two outcomes sum
     to 1.0 exactly for every ``b``.
     """
     if x not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {x!r}")
     b_arr = np.asarray(b, dtype=float)
-    l0 = 0.5 + 0.5 * p.contrast * np.cos(2.0 * p.mu * p.tau * b_arr + p.theta)
+    l0 = 0.5 + 0.5 * p.contrast * np.cos(2.0 * p.tau * b_arr + p.theta)
     out = l0 if x == 0 else 1.0 - l0
     return float(out) if out.ndim == 0 else out
 

@@ -7,6 +7,14 @@ a fixed column order and 17-significant-digit floats, so reruns are
 byte-identical; each run also writes a manifest echoing the resolved
 configuration and listing every artifact.
 
+Each ``cmd_*`` is a function of its resolved config alone.  It returns
+``(artifacts, failure)``: ``artifacts`` maps each CSV name to
+``(header, rows)`` in write order, and ``failure`` is None or the stderr
+line of a failed check.  ``main`` writes every file, so no file is
+written until every result is computed; a command that returns no
+artifacts writes no manifest, and a failed check still writes its CSVs
+and manifest before exiting 1.
+
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure during a run (an outcome with zero evidence; the
 message names the trial, step and master seed).
@@ -36,7 +44,7 @@ from .fourier import (
     alpha_series_closed,
     alpha_series_quadrature,
 )
-from .policies import POLICY_KINDS, PolicyConfig, compare_kpe_to_myopic
+from .policies import POLICY_KINDS, KpeCheckRow, PolicyConfig, compare_kpe_to_myopic
 from .simulate import SimConfig, run_ensemble
 
 EXIT_OK = 0
@@ -212,8 +220,10 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _finish(out_dir: Path, command: str, cfg: dict, artifacts: list[Path], t0: float) -> None:
-    """Write manifest.txt: the command, the resolved config and the artifacts."""
+def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: float) -> None:
+    """Write every artifact CSV, then manifest.txt: command, resolved config, artifacts."""
+    for name, (header, rows) in artifacts.items():
+        write_csv(out_dir / name, header, rows)
     lines = [
         f"command = {command}",
         f"version = {__version__}",
@@ -228,27 +238,26 @@ def _finish(out_dir: Path, command: str, cfg: dict, artifacts: list[Path], t0: f
         else:
             value = _fmt(value)
         lines.append(f"config.{key} = {value}")
-    lines.extend(f"artifact = {a.name}" for a in artifacts)
+    lines.extend(f"artifact = {name}" for name in artifacts)
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def cmd_mi_surface(cfg: dict, out_dir: Path) -> int:
+def _grid(cfg: dict) -> FieldGrid:
+    return FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
+
+
+def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
     """Single-measurement information over a (T, tau) grid."""
-    t0 = time.perf_counter()
     if cfg["tau_grid_size"] < 1:
         raise ConfigError(f"key 'tau_grid_size': require >= 1, got {cfg['tau_grid_size']}")
-    grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
-    prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
+    prior = gaussian_distribution(_grid(cfg), cfg["prior_mean"], cfg["prior_std"])
     taus = np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])
     rows = []
     for T in cfg["coherence_times"]:
         for tau in taus:
             p = RamseyParams(float(tau), cfg["theta"], coherence_time=T)
             rows.append((float(T), float(tau), p.theta, mutual_information(prior, p)))
-    artifact = out_dir / "mi_surface.csv"
-    write_csv(artifact, ["T", "tau", "theta", "mutual_information_nats"], rows)
-    _finish(out_dir, "mi-surface", cfg, [artifact], t0)
-    return EXIT_OK
+    return {"mi_surface.csv": (["T", "tau", "theta", "mutual_information_nats"], rows)}, None
 
 
 def _policy_config(cfg: dict, kind: str) -> PolicyConfig:
@@ -259,14 +268,14 @@ def _policy_config(cfg: dict, kind: str) -> PolicyConfig:
     )
 
 
-def cmd_compare(cfg: dict, out_dir: Path) -> int:
+def cmd_compare(cfg: dict) -> tuple[dict, str | None]:
     """Run every requested policy with identical seeds; one CSV each."""
-    t0 = time.perf_counter()
     kinds = [cfg["policy"]] if cfg["policy"] else cfg["policies"]
-    grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
-    summaries = {}
+    grid = _grid(cfg)
+    header = ["step", "mean_entropy", "std_entropy", "mean_posterior_std", "std_posterior_std"]
+    artifacts = {}
     for kind in kinds:
-        sim = SimConfig(
+        s = run_ensemble(SimConfig(
             prior_mean=cfg["prior_mean"],
             prior_std=cfg["prior_std"],
             n_measurements=cfg["n_measurements"],
@@ -275,36 +284,25 @@ def cmd_compare(cfg: dict, out_dir: Path) -> int:
             policy=_policy_config(cfg, kind),
             grid=grid,
             true_field=cfg["true_field"],
-        )
-        summaries[kind] = run_ensemble(sim)
-    # All results computed before any file is written: no partial output.
-    artifacts = []
-    header = ["step", "mean_entropy", "std_entropy", "mean_posterior_std", "std_posterior_std"]
-    for kind in kinds:
-        s = summaries[kind]
+        ))
         rows = [
             (step + 1, s.mean_entropy[step], s.std_entropy[step],
              s.mean_posterior_std[step], s.std_posterior_std[step])
             for step in range(len(s.mean_entropy))
         ]
-        artifact = out_dir / f"compare_{kind}.csv"
-        write_csv(artifact, header, rows)
-        artifacts.append(artifact)
-    _finish(out_dir, "compare", cfg, artifacts, t0)
-    return EXIT_OK
+        artifacts[f"compare_{kind}.csv"] = (header, rows)
+    return artifacts, None
 
 
-def cmd_validate_alpha(cfg: dict, out_dir: Path) -> int:
+def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     """Closed-series coefficients against the quadrature oracle."""
-    t0 = time.perf_counter()
     j_max = cfg["j_max"]
     if j_max < 1:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
     try:
         closed = alpha_series_closed(j_max)
     except TruncationNotConverged as exc:
-        print(f"validate-alpha: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return {}, f"validate-alpha: {exc}"
     quad = alpha_series_quadrature(j_max)
     rows = []
     ok = True
@@ -317,42 +315,22 @@ def cmd_validate_alpha(cfg: dict, out_dir: Path) -> int:
         if diff > 1e-8 or cv >= 0.0 or (prev is not None and cv <= prev):
             ok = False
         prev = cv
-    artifact = out_dir / "alpha_validation.csv"
-    write_csv(artifact, ["j", "closed_value", "quadrature_value", "abs_diff"], rows)
-    _finish(out_dir, "validate-alpha", cfg, [artifact], t0)
-    if not ok:
-        print("validate-alpha: sign, monotonicity or 1e-8 agreement failed", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    header = ["j", "closed_value", "quadrature_value", "abs_diff"]
+    failure = None if ok else "validate-alpha: sign, monotonicity or 1e-8 agreement failed"
+    return {"alpha_validation.csv": (header, rows)}, failure
 
 
-def cmd_kpe_check(cfg: dict, out_dir: Path) -> int:
+def cmd_kpe_check(cfg: dict) -> tuple[dict, str | None]:
     """Halving-schedule vs myopic argmax along a scripted trajectory."""
-    t0 = time.perf_counter()
-    grid = FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
-    policy = _policy_config(cfg, "myopic_entropy")
-    rows = compare_kpe_to_myopic(cfg["outcomes"], policy, grid)
-    csv_rows = [
-        (r.step, r.kpe_tau, r.kpe_theta, r.myopic_tau, r.myopic_theta,
-         r.tau_cell_delta, r.theta_cell_delta)
-        for r in rows
-    ]
-    artifact = out_dir / "kpe_check.csv"
-    write_csv(
-        artifact,
-        ["step", "kpe_tau", "kpe_theta", "myopic_tau", "myopic_theta",
-         "tau_cell_delta", "theta_cell_delta"],
-        csv_rows,
-    )
-    _finish(out_dir, "kpe-check", cfg, [artifact], t0)
+    rows = compare_kpe_to_myopic(cfg["outcomes"], _policy_config(cfg, "myopic_entropy"), _grid(cfg))
+    header = [f.name for f in dataclasses.fields(KpeCheckRow)]
     diverged = [
-        r for r in rows if 2 <= r.step <= 6 and max(r.tau_cell_delta, r.theta_cell_delta) > 1
+        r.step for r in rows if 2 <= r.step <= 6 and max(r.tau_cell_delta, r.theta_cell_delta) > 1
     ]
+    failure = None
     if diverged:
-        steps = [r.step for r in diverged]
-        print(f"kpe-check: predictions diverge by more than one cell at steps {steps}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        failure = f"kpe-check: predictions diverge by more than one cell at steps {diverged}"
+    return {"kpe_check.csv": (header, [dataclasses.astuple(r) for r in rows])}, failure
 
 
 _COMMANDS = {
@@ -391,7 +369,10 @@ def main(argv=None) -> int:
             cfg["j_max"] = args.j_max
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        t0 = time.perf_counter()
+        artifacts, failure = _COMMANDS[args.command](cfg)
+        if artifacts:
+            _write_run(out_dir, args.command, cfg, artifacts, t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -401,6 +382,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if failure is None:
+        return EXIT_OK
+    print(failure, file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 def console_main() -> None:

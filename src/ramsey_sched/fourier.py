@@ -135,14 +135,14 @@ def measurement_comb(p: RamseyParams, x: int) -> DeltaComb:
     """Three-peak transform of the pointwise likelihood of outcome ``x``.
 
     Amplitude 1/2 at xi = 0 and a conjugate pair of magnitude
-    exp(-tau/T)/4 at xi = +-2 mu tau carrying phase theta + pi x.  At
+    exp(-tau/T)/4 at xi = +-2 tau carrying phase theta + pi x.  At
     tau = 0 the three peaks collapse into the single constant value of
     the likelihood.
     """
     if x not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {x!r}")
     side = 0.25 * p.contrast * np.exp(1j * (p.theta + math.pi * x))
-    xi = 2.0 * p.mu * p.tau
+    xi = 2.0 * p.tau
     return DeltaComb(
         np.array([-xi, 0.0, xi]),
         np.array([np.conj(side), 0.5 + 0.0j, side]),
@@ -152,11 +152,11 @@ def measurement_comb(p: RamseyParams, x: int) -> DeltaComb:
 def bias_from_comb(c: DeltaComb, p: RamseyParams) -> float:
     """|Pr(outcome) - 1/2| for a measurement against prior comb ``c``.
 
-    Only the comb amplitudes at +-2 mu tau enter; with no peak there the
+    Only the comb amplitudes at +-2 tau enter; with no peak there the
     measurement is off-resonance and exactly unbiased.  The value is the
     same for both outcomes.
     """
-    xi = 2.0 * p.mu * p.tau
+    xi = 2.0 * p.tau
     a_plus = c.amplitude_at(xi)
     a_minus = c.amplitude_at(-xi)
     phase = np.exp(1j * p.theta)
@@ -175,13 +175,9 @@ class AlphaSeries:
     """
 
     coefficients: np.ndarray
-    method: str
-    _METHODS = ("closed_series", "quadrature")
 
     def __post_init__(self) -> None:
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if self.method not in self._METHODS:
-            raise ValueError(f"method must be one of {self._METHODS}, got {self.method!r}")
         if coeffs.ndim != 1 or len(coeffs) < 1:
             raise ValueError("coefficients must be a non-empty 1-d array")
         if not coeffs[0] > 0.0:
@@ -218,7 +214,7 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> AlphaSeries:
     if j_max >= 1:
         j = np.arange(1, j_max + 1)
         coeffs[1:] = 2.0 * (np.cos(2.0 * np.outer(j, x)) @ h) / n_panels
-    return AlphaSeries(coeffs, "quadrature")
+    return AlphaSeries(coeffs)
 
 
 def _closed_coefficient(j: int, term_cap: int) -> float:
@@ -269,14 +265,14 @@ def alpha_series_closed(j_max: int, term_cap: int = 600_000) -> AlphaSeries:
     coeffs[0] = alpha_series_quadrature(0).coefficients[0]
     for j in range(1, j_max + 1):
         coeffs[j] = _closed_coefficient(j, term_cap)
-    return AlphaSeries(coeffs, "closed_series")
+    return AlphaSeries(coeffs)
 
 
 def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams, a: AlphaSeries) -> float:
     """H(X|B) in nats for a full-contrast measurement against comb ``c``.
 
     Equals the profile mean (coefficient 0) plus one term per comb peak
-    sitting on the harmonic ladder 4 mu tau k; a diffuse comb gives the
+    sitting on the harmonic ladder 4 tau k; a diffuse comb gives the
     mean exactly.  Agrees with the grid evaluation when ``c`` was built
     from the same wide periodic distribution.
 
@@ -285,7 +281,7 @@ def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams, a: AlphaSeries)
     """
     if p.tau == 0.0:
         return float(binary_entropy(0.5 * (1.0 + p.contrast * math.cos(p.theta))))
-    base = 4.0 * p.mu * p.tau
+    base = 4.0 * p.tau
     total = float(a.coefficients[0])
     for xi, amp in zip(c.frequencies, c.amplitudes):
         if xi <= MERGE_TOL:
@@ -301,10 +297,10 @@ def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams, a: AlphaSeries)
     return total
 
 
-def kpe_posterior_comb(n: int, tau1: float, mu: float = 1.0) -> DeltaComb:
+def kpe_posterior_comb(n: int, tau1: float) -> DeltaComb:
     """Posterior comb after n halving-schedule measurements on a diffuse prior.
 
-    Real triangular weights 1 - |j|/2**n at frequencies 2**(-n+2) mu tau1 j
+    Real triangular weights 1 - |j|/2**n at frequencies 2**(-n+2) tau1 j
     for j in [-(2**n - 1), 2**n - 1], expressed in the rezeroed field
     variable that absorbs the accumulated measurement phases.
     """
@@ -315,6 +311,6 @@ def kpe_posterior_comb(n: int, tau1: float, mu: float = 1.0) -> DeltaComb:
     if not tau1 > 0.0:
         raise ValueError(f"require tau1 > 0, got {tau1}")
     j = np.arange(-(2**n - 1), 2**n)
-    xi = (2.0 ** (-n + 2)) * mu * tau1 * j
+    xi = (2.0 ** (-n + 2)) * tau1 * j
     weights = 1.0 - np.abs(j) / 2.0**n
     return DeltaComb(xi, weights.astype(complex))

@@ -166,20 +166,14 @@ def theta_search_grid(cfg: PolicyConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _tau_trig(grid_key: tuple[float, float, int], tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _tau_trig(grid: FieldGrid, tau: float) -> tuple[np.ndarray, np.ndarray]:
     # cos/sin of 2 tau b on the grid; cached because the search grid taus
     # repeat every policy call while the posterior changes.
-    b_min, b_max, n_points = grid_key
-    b = np.linspace(b_min, b_max, n_points)
-    c = np.cos(2.0 * tau * b)
-    s = np.sin(2.0 * tau * b)
+    c = np.cos(2.0 * tau * grid.points)
+    s = np.sin(2.0 * tau * grid.points)
     c.flags.writeable = False
     s.flags.writeable = False
     return c, s
-
-
-def _grid_key(grid: FieldGrid) -> tuple[float, float, int]:
-    return (grid.b_min, grid.b_max, grid.n_points)
 
 
 def _scored_theta_count(cfg: PolicyConfig) -> int:
@@ -230,7 +224,6 @@ def _mi_matrix(
     q0s = [float(q.sum()) for q in qs]
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-    key = _grid_key(grid)
     l0 = np.empty((n_theta, grid.n_points))
     l1 = np.empty_like(l0)
     xlx = np.empty_like(l0)
@@ -238,7 +231,7 @@ def _mi_matrix(
     for i, tau in enumerate(taus):
         if not need[:, i].any():
             continue
-        c, s = _tau_trig(key, float(tau))
+        c, s = _tau_trig(grid, float(tau))
         half_c = 0.5 * math.exp(-tau / cfg.coherence_time)
         np.multiply(cos_t[:, None], c, out=l0)
         np.multiply(sin_t[:, None], s, out=l1)
@@ -275,11 +268,10 @@ def _mi_row_bounds(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.nda
     taus = tau_search_grid(cfg)
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
     qs = np.stack([grid.trapz_weights * d.density for d in ds])
-    key = _grid_key(grid)
     trig = np.empty((4, grid.n_points))
     moments = np.empty((4, len(ds), len(taus)))
     for i, tau in enumerate(taus):
-        c, s = _tau_trig(key, float(tau))
+        c, s = _tau_trig(grid, float(tau))
         trig[0] = c
         trig[1] = s
         np.multiply(c, c, out=trig[2])
@@ -319,8 +311,7 @@ def _expected_variance_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.nda
     qb = q * b
     w = np.stack((q, qb, qb * b))
     tot = w.sum(axis=1)[:, None, None]
-    key = _grid_key(d.grid)
-    trig = [_tau_trig(key, float(tau)) for tau in taus]
+    trig = [_tau_trig(d.grid, float(tau)) for tau in taus]
     wc = np.stack([w @ c for c, _ in trig], axis=1)[:, :, None]
     ws = np.stack([w @ s for _, s in trig], axis=1)[:, :, None]
     half_c = np.array([0.5 * math.exp(-tau / cfg.coherence_time) for tau in taus])[:, None]

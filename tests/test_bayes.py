@@ -85,6 +85,12 @@ class TestFieldDistribution:
         with pytest.raises(ValueError):
             d.density[0] = 2.0
 
+    @pytest.mark.parametrize("std", [0.0, -1.0, math.inf, math.nan])
+    def test_gaussian_needs_finite_positive_std(self, std):
+        # an infinite std gives z = 0 at every point: a uniform prior in disguise
+        with pytest.raises(ValueError, match=f"require finite std > 0, got {std}"):
+            gaussian_distribution(GRID, 0.0, std)
+
 
 class TestLikelihood:
     def test_tau_zero_theta_zero_is_certain(self):
@@ -96,7 +102,7 @@ class TestLikelihood:
         assert likelihood(1, 0.0, p) == 1.0
 
     def test_quadrature_phase_gives_half(self):
-        # 2 mu b tau + theta = pi/2
+        # 2 b tau + theta = pi/2
         p = RamseyParams(1.0, 0.0, coherence_time=3.0)
         b = math.pi / 4.0
         assert likelihood(0, b, p) == pytest.approx(0.5, abs=1e-15)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import ramsey_sched
-from ramsey_sched import simulate
+from ramsey_sched import cli, simulate
 from ramsey_sched.bayes import ZeroEvidence
 from ramsey_sched.cli import ConfigError, main, read_config_file, resolve_config
+from ramsey_sched.fourier import AlphaSeries, TruncationNotConverged
 from ramsey_sched.policies import PolicyConfig
 
 
@@ -183,6 +184,7 @@ class TestExitCodes:
         ("compare", "kpe_theta0 = nan", "finite kpe_theta0, got nan"),
         ("compare", "kpe_tau0 = inf", "finite kpe_tau0 > 0, got inf"),
         ("kpe-check", "kpe_theta0 = -inf", "finite kpe_theta0, got -inf"),
+        ("mi-surface", "prior_std = inf", "finite std > 0, got inf"),
     ])
     def test_non_finite_control_is_2(self, tmp_path, capsys, command, line, named):
         # rejected where the value is made, before any scoring or output
@@ -304,6 +306,37 @@ class TestValidateAlpha:
             assert float(closed) < 0.0
             assert float(diff) < 1e-8
 
+    def test_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def unconverged(j_max):
+            raise TruncationNotConverged("coefficient 1: last term 2.000e-12 after 600000 terms")
+
+        monkeypatch.setattr(cli, "alpha_series_closed", unconverged)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "validate-alpha: coefficient 1: last term 2.000e-12 after 600000 terms\n"
+        )
+        assert not list(out.iterdir())
+
+    def test_failed_check_still_writes_report(self, tmp_path, capsys, monkeypatch):
+        real = cli.alpha_series_quadrature
+
+        def shifted(j_max):
+            coeffs = real(j_max).coefficients.copy()
+            coeffs[3] += 1e-6
+            return AlphaSeries(coeffs)
+
+        monkeypatch.setattr(cli, "alpha_series_quadrature", shifted)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "validate-alpha: sign, monotonicity or 1e-8 agreement failed\n"
+        )
+        lines = (out / "alpha_validation.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4
+        assert float(lines[3].split(",")[3]) > 1e-8
+        assert "artifact = alpha_validation.csv" in (out / "manifest.txt").read_text()
+
 
 class TestKpeCheck:
     def test_default_agrees(self, tmp_path):
@@ -324,4 +357,5 @@ class TestKpeCheck:
         code = main(["kpe-check", "--config", cfg, "--out", str(out)])
         assert code == 1
         assert (out / "kpe_check.csv").exists()  # the report is still written
+        assert "artifact = kpe_check.csv" in (out / "manifest.txt").read_text()
         assert "diverge" in capsys.readouterr().err

@@ -187,13 +187,11 @@ class TestBiasFromComb:
 class TestAlphaSeries:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            AlphaSeries(np.array([-0.1]), "quadrature")
+            AlphaSeries(np.array([-0.1]))
         with pytest.raises(ValueError):
-            AlphaSeries(np.array([0.4, 0.1]), "quadrature")
+            AlphaSeries(np.array([0.4, 0.1]))
         with pytest.raises(ValueError):
-            AlphaSeries(np.array([0.4, -0.01, -0.02]), "quadrature")
-        with pytest.raises(ValueError):
-            AlphaSeries(np.array([0.4, -0.1]), "magic")
+            AlphaSeries(np.array([0.4, -0.01, -0.02]))
 
     def test_quadrature_mean_value(self):
         a = alpha_series_quadrature(0)

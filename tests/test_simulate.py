@@ -77,7 +77,7 @@ class TestSampleOutcome:
         assert all(sample_outcome(rng, 0.0, p) == 1 for _ in range(50))
 
     def test_bernoulli_law(self):
-        # unbiased point: 2 mu b tau + theta = pi/2
+        # unbiased point: 2 b tau + theta = pi/2
         p = RamseyParams(1.0, 0.0)
         rng = np.random.default_rng(7)
         n = 10_000
