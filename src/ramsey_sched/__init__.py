@@ -22,7 +22,6 @@ from .bayes import (
     variance,
 )
 from .fourier import (
-    AlphaSeries,
     DeltaComb,
     InsufficientSeries,
     TruncationNotConverged,

@@ -49,8 +49,8 @@ class FieldGrid:
     trapz_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.b_min < self.b_max:
-            raise ValueError(f"require b_min < b_max, got [{self.b_min}, {self.b_max}]")
+        if not -math.inf < self.b_min < self.b_max < math.inf:
+            raise ValueError(f"require finite b_min < b_max, got [{self.b_min}, {self.b_max}]")
         if self.n_points < 2:
             raise ValueError(f"require n_points >= 2, got {self.n_points}")
         pts = np.linspace(self.b_min, self.b_max, self.n_points)
@@ -114,6 +114,8 @@ def distribution_from_density(grid: FieldGrid, values: np.ndarray) -> FieldDistr
 def gaussian_distribution(grid: FieldGrid, mean: float, std: float) -> FieldDistribution:
     if not 0.0 < std < math.inf:
         raise ValueError(f"require finite std > 0, got {std}")
+    if not math.isfinite(mean):
+        raise ValueError(f"require finite mean, got {mean}")
     z = (grid.points - mean) / std
     return distribution_from_density(grid, np.exp(-0.5 * z * z))
 

@@ -102,7 +102,12 @@ def _policy_name(key, name):
 
 
 def _parse_policies(key, raw):
-    return [_policy_name(key, name) for name in _split_list(key, raw)]
+    names = []
+    for name in _split_list(key, raw):
+        if _policy_name(key, name) in names:
+            raise ConfigError(f"key {key!r}: policy {name!r} listed more than once")
+        names.append(name)
+    return names
 
 
 def _parse_policy(key, raw):
@@ -308,8 +313,8 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     ok = True
     prev = None
     for j in range(1, j_max + 1):
-        cv = float(closed.coefficients[j])
-        qv = float(quad.coefficients[j])
+        cv = float(closed[j])
+        qv = float(quad[j])
         diff = abs(cv - qv)
         rows.append((j, cv, qv, diff))
         if diff > 1e-8 or cv >= 0.0 or (prev is not None and cv <= prev):

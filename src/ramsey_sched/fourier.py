@@ -16,12 +16,18 @@ xi = +w and the conjugate at xi = -w.  The closed expressions below
 (bias, conditional entropy, the triangular schedule comb) assume full
 contrast, i.e. infinite coherence time; finite-T cases route through the
 grid instead.
+
+The outcome-entropy coefficients alpha_0..alpha_j_max are a plain
+read-only float array, indexed by j.  The paper's claim about them
+(alpha_j < 0 and strictly increasing for j >= 1) is not built into the
+array: ``ramsey-sched validate-alpha`` is where it is tested and
+reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,45 +169,17 @@ def bias_from_comb(c: DeltaComb, p: RamseyParams) -> float:
     return 0.25 * p.contrast * abs(phase * a_minus + np.conj(phase) * a_plus)
 
 
-@dataclass(frozen=True)
-class AlphaSeries:
-    """Cosine-series coefficients of the pointwise outcome-entropy profile.
+def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
+    """Cosine coefficients alpha_0..alpha_j_max of the outcome-entropy profile.
 
     For a full-contrast measurement the outcome entropy as a function of
-    phase is periodic with period pi; ``coefficients[j]`` is its j-th
-    cosine coefficient.  The j = 0 term (the profile mean) is positive;
-    all higher coefficients are negative and increase strictly toward
-    zero, which is what makes the aligned halving schedule optimal.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if coeffs.ndim != 1 or len(coeffs) < 1:
-            raise ValueError("coefficients must be a non-empty 1-d array")
-        if not coeffs[0] > 0.0:
-            raise ValueError(f"coefficient 0 must be positive, got {coeffs[0]!r}")
-        tail = coeffs[1:]
-        if tail.size and not np.all(tail < 0.0):
-            raise ValueError("coefficients for j >= 1 must be negative")
-        if tail.size > 1 and not np.all(np.diff(tail) > 0.0):
-            raise ValueError("coefficients for j >= 1 must be strictly increasing")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def j_max(self) -> int:
-        return len(self.coefficients) - 1
-
-
-def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> AlphaSeries:
-    """Coefficients by composite midpoint quadrature over one period.
-
-    This is the independent oracle for :func:`alpha_series_closed`.  The
-    integrand is periodic, so the composite rule converges like the decay
-    of the profile's own coefficients; the default 2**14 panels give
-    better than 1e-12.
+    phase, h((1 + cos x) / 2), is periodic with period pi; element j of
+    the returned read-only array is its j-th cosine coefficient, found by
+    composite midpoint quadrature over one period.  This is the
+    independent oracle for :func:`alpha_series_closed`.  The integrand is
+    periodic, so the composite rule converges like the decay of the
+    profile's own coefficients; the default 2**14 panels give better
+    than 1e-12.
     """
     if j_max < 0:
         raise ValueError(f"require j_max >= 0, got {j_max}")
@@ -214,7 +192,8 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> AlphaSeries:
     if j_max >= 1:
         j = np.arange(1, j_max + 1)
         coeffs[1:] = 2.0 * (np.cos(2.0 * np.outer(j, x)) @ h) / n_panels
-    return AlphaSeries(coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _closed_coefficient(j: int, term_cap: int) -> float:
@@ -246,9 +225,10 @@ def _closed_coefficient(j: int, term_cap: int) -> float:
     return float(np.sum(terms[: stop + 1]))
 
 
-def alpha_series_closed(j_max: int, term_cap: int = 600_000) -> AlphaSeries:
-    """Coefficients from the closed binomial-sum series.
+def alpha_series_closed(j_max: int, term_cap: int = 600_000) -> np.ndarray:
+    """Coefficients alpha_0..alpha_j_max from the closed binomial-sum series.
 
+    Returns a read-only array laid out as :func:`alpha_series_quadrature`'s.
     The series is stated for j >= 1; the j = 0 coefficient is the profile
     mean and is always taken from the quadrature route.  Terms decay like
     m**-2.5, so the default cap keeps the truncation error below 1e-9.
@@ -262,38 +242,47 @@ def alpha_series_closed(j_max: int, term_cap: int = 600_000) -> AlphaSeries:
     if term_cap < j_max + 10:
         raise ValueError(f"require term_cap >= j_max + 10, got {term_cap}")
     coeffs = np.empty(j_max + 1)
-    coeffs[0] = alpha_series_quadrature(0).coefficients[0]
+    coeffs[0] = alpha_series_quadrature(0)[0]
     for j in range(1, j_max + 1):
         coeffs[j] = _closed_coefficient(j, term_cap)
-    return AlphaSeries(coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams, a: AlphaSeries) -> float:
+def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams, a: np.ndarray) -> float:
     """H(X|B) in nats for a full-contrast measurement against comb ``c``.
 
-    Equals the profile mean (coefficient 0) plus one term per comb peak
+    ``a`` holds the coefficients alpha_0..alpha_j_max, so j_max is
+    ``len(a) - 1``.  The measurement must have full contrast
+    (``p.contrast == 1``: infinite coherence time, or tau = 0), because
+    the coefficients are those of the full-contrast profile.  The result
+    equals the profile mean (coefficient 0) plus one term per comb peak
     sitting on the harmonic ladder 4 tau k; a diffuse comb gives the
     mean exactly.  Agrees with the grid evaluation when ``c`` was built
     from the same wide periodic distribution.
 
     Raises:
-        InsufficientSeries: a comb peak needs k beyond ``a.j_max``.
+        ValueError: the measurement's contrast is below 1.
+        InsufficientSeries: a comb peak needs k beyond j_max.
     """
+    if p.contrast < 1.0:
+        raise ValueError(f"require full contrast, got contrast {p.contrast!r}")
     if p.tau == 0.0:
-        return float(binary_entropy(0.5 * (1.0 + p.contrast * math.cos(p.theta))))
+        return float(binary_entropy(0.5 * (1.0 + math.cos(p.theta))))
+    j_max = len(a) - 1
     base = 4.0 * p.tau
-    total = float(a.coefficients[0])
+    total = float(a[0])
     for xi, amp in zip(c.frequencies, c.amplitudes):
         if xi <= MERGE_TOL:
             continue
         k = int(round(xi / base))
         if k < 1 or abs(xi - k * base) > MERGE_TOL:
             continue
-        if k > a.j_max:
+        if k > j_max:
             raise InsufficientSeries(
-                f"comb peak at xi={xi} needs coefficient {k} but series stops at {a.j_max}"
+                f"comb peak at xi={xi} needs coefficient {k} but series stops at {j_max}"
             )
-        total += float(a.coefficients[k]) * float((np.exp(-2j * k * p.theta) * amp).real)
+        total += float(a[k]) * float((np.exp(-2j * k * p.theta) * amp).real)
     return total
 
 

@@ -156,8 +156,6 @@ class PolicyState:
 
 
 def tau_search_grid(cfg: PolicyConfig) -> np.ndarray:
-    if cfg.tau_grid_size == 1:
-        return np.array([cfg.tau_min])
     return np.geomspace(cfg.tau_min, cfg.tau_max, cfg.tau_grid_size)
 
 
@@ -436,8 +434,6 @@ def next_params_lockstep(
 
 def tau_cell_index(cfg: PolicyConfig, tau: float) -> int:
     """Nearest index of tau on the geometric search grid."""
-    if cfg.tau_grid_size == 1:
-        return 0
     ratio = math.log(cfg.tau_max / cfg.tau_min)
     pos = (cfg.tau_grid_size - 1) * math.log(tau / cfg.tau_min) / ratio
     return min(max(int(round(pos)), 0), cfg.tau_grid_size - 1)

@@ -131,9 +131,9 @@ def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]
 
     Trials of a kind in ``LOCKSTEP_KINDS`` (myopic) advance in lockstep,
     so each step scores every posterior against one entropy block per
-    tau; the other kinds run one trial at a time and hold a single
-    posterior.  Either way a trial's trajectory does not depend on which
-    other trials run beside it.
+    tau; the other kinds run one trial at a time through ``run_trial``
+    and hold a single posterior.  Either way a trial's trajectory does
+    not depend on which other trials run beside it.
 
     Raises:
         ZeroEvidence: an outcome had (numerically) zero probability; the
@@ -142,7 +142,7 @@ def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]
     indices = [int(i) for i in trial_indices]
     if cfg.policy.kind in LOCKSTEP_KINDS:
         return _run_lockstep(cfg, indices)
-    return [t for i in indices for t in _run_lockstep(cfg, [i])]
+    return [run_trial(cfg, i) for i in indices]
 
 
 def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
@@ -188,7 +188,7 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
 
 def run_trial(cfg: SimConfig, trial_index: int) -> Trajectory:
     """Simulate one measurement sequence; bit-identical for equal inputs."""
-    return run_trials(cfg, [trial_index])[0]
+    return _run_lockstep(cfg, [int(trial_index)])[0]
 
 
 def summarize(trajectories: list[Trajectory]) -> EnsembleSummary:

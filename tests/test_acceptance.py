@@ -50,8 +50,8 @@ def test_criterion_1_alpha_series_oracle_equivalence():
     closed = alpha_series_closed(32)
     quad = alpha_series_quadrature(32)
     elapsed = time.time() - t0
-    diffs = np.abs(closed.coefficients[1:] - quad.coefficients[1:])
-    tail = closed.coefficients[1:]
+    diffs = np.abs(closed[1:] - quad[1:])
+    tail = closed[1:]
     ok = (
         float(diffs.max()) <= 1e-8
         and bool(np.all(tail < 0.0))
@@ -308,7 +308,7 @@ def test_criterion_7_per_step_ln2_extraction():
 
     # independent prediction of the same drops from the triangular-comb
     # conditional-entropy series: drop_n = ln 2 - H(X|B_{n-1})
-    coeffs = alpha_series_quadrature(2**6).coefficients
+    coeffs = alpha_series_quadrature(2**6)
     predicted = []
     for m in range(n_steps):
         n_peaks = 2**m

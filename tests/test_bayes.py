@@ -68,6 +68,14 @@ class TestFieldGrid:
         with pytest.raises(ValueError):
             FieldGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("b_min, b_max", [
+        (-20.0, math.inf), (-math.inf, 20.0), (math.nan, 20.0), (-20.0, math.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, b_min, b_max):
+        # an infinite bound makes every point and weight inf or nan
+        with pytest.raises(ValueError, match=rf"require finite b_min < b_max, got \[{b_min}, {b_max}\]"):
+            FieldGrid(b_min, b_max, 16)
+
 
 class TestFieldDistribution:
     def test_rejects_negative_density(self):
@@ -90,6 +98,11 @@ class TestFieldDistribution:
         # an infinite std gives z = 0 at every point: a uniform prior in disguise
         with pytest.raises(ValueError, match=f"require finite std > 0, got {std}"):
             gaussian_distribution(GRID, 0.0, std)
+
+    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan])
+    def test_gaussian_needs_finite_mean(self, mean):
+        with pytest.raises(ValueError, match=f"require finite mean, got {mean}"):
+            gaussian_distribution(GRID, mean, 2.0)
 
 
 class TestLikelihood:
@@ -276,7 +289,7 @@ class TestMutualInformation:
     def test_wide_uniform_equals_ln2_minus_profile_mean(self):
         # cross-module identity against the quadrature coefficient j=0
         d = uniform_distribution(PERIODIC_GRID)
-        alpha0 = float(alpha_series_quadrature(0).coefficients[0])
+        alpha0 = float(alpha_series_quadrature(0)[0])
         for tau, theta in [(1.0, 0.3), (2.0, 5.1), (0.5, 0.0)]:
             mi = mutual_information(d, RamseyParams(tau, theta))
             assert mi == pytest.approx(LN2 - alpha0, abs=1e-9)

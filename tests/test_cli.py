@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import ramsey_sched
-from ramsey_sched import cli, simulate
+from ramsey_sched import cli, fourier, simulate
 from ramsey_sched.bayes import ZeroEvidence
 from ramsey_sched.cli import ConfigError, main, read_config_file, resolve_config
-from ramsey_sched.fourier import AlphaSeries, TruncationNotConverged
+from ramsey_sched.fourier import TruncationNotConverged
 from ramsey_sched.policies import PolicyConfig
 
 
@@ -133,6 +133,15 @@ class TestConfigSchema:
         assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "unknown policy 'kpe,random'" in capsys.readouterr().err
 
+    def test_repeated_policy_is_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.cfg", "policies = random,kpe,kpe\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: key 'policies': policy 'kpe' listed more than once\n"
+        )
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -185,6 +194,10 @@ class TestExitCodes:
         ("compare", "kpe_tau0 = inf", "finite kpe_tau0 > 0, got inf"),
         ("kpe-check", "kpe_theta0 = -inf", "finite kpe_theta0, got -inf"),
         ("mi-surface", "prior_std = inf", "finite std > 0, got inf"),
+        ("compare", "b_max = inf", "finite b_min < b_max, got [-20.0, inf]"),
+        ("mi-surface", "b_min = nan", "finite b_min < b_max, got [nan, 20.0]"),
+        ("compare", "prior_mean = nan", "finite mean, got nan"),
+        ("mi-surface", "prior_mean = nan", "finite mean, got nan"),
     ])
     def test_non_finite_control_is_2(self, tmp_path, capsys, command, line, named):
         # rejected where the value is made, before any scoring or output
@@ -322,9 +335,9 @@ class TestValidateAlpha:
         real = cli.alpha_series_quadrature
 
         def shifted(j_max):
-            coeffs = real(j_max).coefficients.copy()
+            coeffs = real(j_max).copy()
             coeffs[3] += 1e-6
-            return AlphaSeries(coeffs)
+            return coeffs
 
         monkeypatch.setattr(cli, "alpha_series_quadrature", shifted)
         out = tmp_path / "out"
@@ -335,6 +348,25 @@ class TestValidateAlpha:
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
         assert float(lines[3].split(",")[3]) > 1e-8
+        assert "artifact = alpha_validation.csv" in (out / "manifest.txt").read_text()
+
+    def test_sign_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        # the sign claim is tested here alone, so a positive closed
+        # coefficient is a reported check failure, not a config error
+        real = fourier._closed_coefficient
+
+        def positive_at_3(j, term_cap):
+            return 1e-3 if j == 3 else real(j, term_cap)
+
+        monkeypatch.setattr(fourier, "_closed_coefficient", positive_at_3)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "validate-alpha: sign, monotonicity or 1e-8 agreement failed\n"
+        )
+        lines = (out / "alpha_validation.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4
+        assert float(lines[3].split(",")[1]) == 1e-3
         assert "artifact = alpha_validation.csv" in (out / "manifest.txt").read_text()
 
 

@@ -248,6 +248,23 @@ class TestVariancePolicy:
         assert p.theta == 0.0
 
 
+class TestOnePointTauGrid:
+    CFG = PolicyConfig(tau_min=0.05, tau_max=4.0, tau_grid_size=1, theta_grid_size=8, coherence_time=8.0)
+
+    def test_grid_is_tau_min(self):
+        grid = tau_search_grid(self.CFG)
+        assert grid.tolist() == [self.CFG.tau_min]
+
+    @pytest.mark.parametrize("tau", [1e-9, 0.05, 0.7, 4.0, 50.0])
+    def test_every_tau_is_cell_0(self, tau):
+        assert tau_cell_index(self.CFG, tau) == 0
+
+    @pytest.mark.parametrize("chooser", [next_params_myopic_entropy, next_params_variance_min])
+    def test_greedy_choosers_pick_tau_min(self, chooser):
+        d = gaussian_distribution(GRID, 0.3, 1.5)
+        assert chooser(_state(d), self.CFG).tau == self.CFG.tau_min
+
+
 class TestDispatch:
     def test_all_kinds(self):
         d = gaussian_distribution(GRID, 0.0, 2.0)

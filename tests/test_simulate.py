@@ -152,6 +152,22 @@ class TestRunTrials:
         assert run_trials(cfg, [2, 0]) == [alone[2], alone[0]]
         assert run_trials(cfg, []) == []
 
+    @pytest.mark.parametrize("kind, calls", [("kpe", 3), ("myopic_entropy", 0)])
+    def test_one_at_a_time_kinds_go_through_run_trial(self, kind, calls, monkeypatch):
+        # run_trial is looked up at call time, so a wrapper on it sees
+        # every trial of a kind that does not run in lockstep
+        cfg = _cfg(kind, n_measurements=4)
+        expect = run_trials(cfg, range(3))
+        real, seen = simulate.run_trial, []
+
+        def counting(cfg, i):
+            seen.append(i)
+            return real(cfg, i)
+
+        monkeypatch.setattr(simulate, "run_trial", counting)
+        assert run_trials(cfg, range(3)) == expect
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("kind", ["myopic_entropy", "kpe"])
     def test_zero_evidence_names_trial_step_and_seed(self, kind, monkeypatch):
         # myopic trials advance in lockstep (update k is trial k % 3 at
