@@ -45,7 +45,7 @@ from .fourier import (
     alpha_series_quadrature,
 )
 from .policies import POLICY_KINDS, KpeCheckRow, PolicyConfig, compare_kpe_to_myopic
-from .simulate import SimConfig, run_ensemble
+from .simulate import SimConfig, check_prior_coverage, run_ensemble
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -95,25 +95,15 @@ def _parse_outcomes(key, raw):
     return vals
 
 
-def _policy_name(key, name):
-    if name not in POLICY_KINDS:
-        raise ConfigError(f"key {key!r}: unknown policy {name!r}")
-    return name
-
-
 def _parse_policies(key, raw):
     names = []
     for name in _split_list(key, raw):
-        if _policy_name(key, name) in names:
+        if name not in POLICY_KINDS:
+            raise ConfigError(f"key {key!r}: unknown policy {name!r}")
+        if name in names:
             raise ConfigError(f"key {key!r}: policy {name!r} listed more than once")
         names.append(name)
     return names
-
-
-def _parse_policy(key, raw):
-    # empty means "run the policies list"
-    name = raw.strip()
-    return _policy_name(key, name) if name else name
 
 
 # PolicyConfig's search-grid and halving-schedule fields are config keys
@@ -156,7 +146,6 @@ _COMMAND_KEYS = {
         "n_measurements": (_parse_int, 30),
         "n_realizations": (_parse_int, 8),
         "master_seed": (_parse_int, 1729),
-        "policy": (_parse_policy, None),
         "policies": (_parse_policies, list(POLICY_KINDS)),
         **_POLICY_KEYS,
         "true_field": (_parse_field, None),
@@ -239,7 +228,7 @@ def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: floa
         if isinstance(value, list):
             value = ",".join(_fmt(v) for v in value)
         elif value is None:
-            value = "sample" if key == "true_field" else "none"
+            value = "sample"  # true_field, the one None default
         else:
             value = _fmt(value)
         lines.append(f"config.{key} = {value}")
@@ -255,7 +244,10 @@ def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
     """Single-measurement information over a (T, tau) grid."""
     if cfg["tau_grid_size"] < 1:
         raise ConfigError(f"key 'tau_grid_size': require >= 1, got {cfg['tau_grid_size']}")
-    prior = gaussian_distribution(_grid(cfg), cfg["prior_mean"], cfg["prior_std"])
+    grid = _grid(cfg)
+    # the prior first: it names a non-finite mean or std
+    prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
+    check_prior_coverage(grid, cfg["prior_mean"], cfg["prior_std"])
     taus = np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])
     rows = []
     for T in cfg["coherence_times"]:
@@ -275,11 +267,10 @@ def _policy_config(cfg: dict, kind: str) -> PolicyConfig:
 
 def cmd_compare(cfg: dict) -> tuple[dict, str | None]:
     """Run every requested policy with identical seeds; one CSV each."""
-    kinds = [cfg["policy"]] if cfg["policy"] else cfg["policies"]
     grid = _grid(cfg)
     header = ["step", "mean_entropy", "std_entropy", "mean_posterior_std", "std_posterior_std"]
     artifacts = {}
-    for kind in kinds:
+    for kind in cfg["policies"]:
         s = run_ensemble(SimConfig(
             prior_mean=cfg["prior_mean"],
             prior_std=cfg["prior_std"],

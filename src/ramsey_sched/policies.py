@@ -30,8 +30,8 @@ cell by cell, up to float roundoff:
   block does not depend on the posterior, so the kernel takes a sequence
   of posteriors on one grid and builds one block per tau for all of
   them; each posterior then takes its own p0, h(p0) and block-vector
-  product, exactly as it would alone (``next_params_lockstep``, used by
-  the lockstep trial loop).
+  product, exactly as it would alone (``myopic_choices``, which the
+  trial loop calls with every myopic trial's posterior).
 - The cosine term can round to 1 + 2^-52 in magnitude, so l0 is clamped
   into [0, 1] before l1 = 1 - l0 is taken, and p0 into [0, q0] (a
   posterior on one grid point has p0 = l0 there).  l ln l is then
@@ -42,7 +42,7 @@ cell by cell, up to float roundoff:
   library log that ``xlogy`` calls can differ in the last bit.)
 
 The myopic choosers build only the tau rows that can hold the best cell
-(``_myopic_choices``).  Each cell's MI has two closed-form upper bounds:
+(``myopic_choices``).  Each cell's MI has two closed-form upper bounds:
 
 - H(X) - 4 ln2 sum_b q l0 l1, since h(l) >= 4 ln2 l(1 - l) (Topsoe,
   "Bounds for entropy and divergence for distributions over a
@@ -85,10 +85,6 @@ from .bayes import (
 )
 
 POLICY_KINDS = ("random", "kpe", "variance_min", "myopic_entropy")
-
-# Kinds whose scoring has posterior-independent work that several
-# posteriors can share (the myopic MI entropy block).
-LOCKSTEP_KINDS = ("myopic_entropy",)
 
 # Cells whose objective is within this of the best count as tied.
 TIE_TOL = 1e-9
@@ -363,7 +359,7 @@ def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
     return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
 
 
-def _myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
+def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
     """Tie-rule cell of each posterior's MI matrix, building only the tau
     rows whose bound can reach that posterior's best score.
 
@@ -389,9 +385,9 @@ def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyP
     """Grid argmax of single-measurement mutual information.
 
     The cell is that of an exhaustive scan; tau rows whose MI bound
-    rules them out are skipped (``_myopic_choices``).
+    rules them out are skipped (``myopic_choices``).
     """
-    return _myopic_choices([state.posterior], cfg)[0]
+    return myopic_choices([state.posterior], cfg)[0]
 
 
 def next_params_variance_min(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
@@ -412,24 +408,6 @@ def next_params(state: PolicyState, cfg: PolicyConfig, rng: np.random.Generator 
     if cfg.kind == "variance_min":
         return next_params_variance_min(state, cfg)
     raise ValueError(f"unknown policy kind {cfg.kind!r}")
-
-
-def next_params_lockstep(
-    states: Sequence[PolicyState],
-    cfg: PolicyConfig,
-    rngs: Sequence[np.random.Generator | None],
-) -> list[RamseyParams]:
-    """``next_params`` for each (state, rng) pair, in order.
-
-    The myopic policy scores every posterior in the same
-    ``_myopic_choices`` call, which builds each tau's entropy block at
-    most once for all of them; the choices equal those of ``next_params``
-    bit for bit.  Kinds outside
-    ``LOCKSTEP_KINDS`` have nothing to share and go one state at a time.
-    """
-    if cfg.kind in LOCKSTEP_KINDS:
-        return _myopic_choices([s.posterior for s in states], cfg)
-    return [next_params(state, cfg, rng) for state, rng in zip(states, rngs)]
 
 
 def tau_cell_index(cfg: PolicyConfig, tau: float) -> int:

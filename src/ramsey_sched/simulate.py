@@ -5,15 +5,17 @@ policy for the next controls, sample a binary outcome from the true
 field's likelihood, update the posterior, and record its entropy and
 spread.
 
-``run_trials`` is the one trial loop.  Myopic trials advance in
-lockstep: at each step every trial's posterior is scored against one
-shared entropy block per tau (for the taus that some trial's MI bound
-does not rule out), then each trial samples its outcome and
-updates on its own.  The other kinds share no scoring work and run one
-trial at a time.  Each trial draws from its own stream, derived from
-(master_seed, trial_index), in a fixed order (true field, the policy's
-draws, the outcome), so a trajectory is bit-identical whether its trial
-runs alone or beside others, and an ensemble is a pure function of its
+``run_trials`` is the one trial loop, and this module alone decides
+which trials advance together.  Myopic trials advance in lockstep: at
+each step one ``policies.myopic_choices`` call scores every trial's
+posterior against one shared entropy block per tau (for the taus that
+some trial's MI bound does not rule out), then each trial samples its
+outcome and updates on its own.  The other kinds share no scoring work
+and run one trial at a time, each step asking ``policies.next_params``.
+Each trial draws from its own stream, derived from (master_seed,
+trial_index), in a fixed order (true field, the policy's draws, the
+outcome), so a trajectory is bit-identical whether its trial runs alone
+or beside others, and an ensemble is a pure function of its
 configuration, insensitive to execution order.
 """
 
@@ -37,7 +39,17 @@ from .bayes import (
     mean,
     variance,
 )
-from .policies import LOCKSTEP_KINDS, PolicyConfig, PolicyState, next_params_lockstep
+from .policies import PolicyConfig, PolicyState, myopic_choices, next_params
+
+
+def check_prior_coverage(grid: FieldGrid, prior_mean: float, prior_std: float) -> None:
+    """Raise ValueError unless the grid covers prior_mean +- 6 prior_std."""
+    lo = prior_mean - 6.0 * prior_std
+    hi = prior_mean + 6.0 * prior_std
+    if lo < grid.b_min or hi > grid.b_max:
+        raise ValueError(
+            f"grid [{grid.b_min}, {grid.b_max}] must cover prior_mean +- 6 std ([{lo}, {hi}])"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,7 @@ class SimConfig:
             raise ValueError(f"require n_measurements >= 0, got {self.n_measurements}")
         if self.n_realizations < 1:
             raise ValueError(f"require n_realizations >= 1, got {self.n_realizations}")
-        lo = self.prior_mean - 6.0 * self.prior_std
-        hi = self.prior_mean + 6.0 * self.prior_std
-        if lo < self.grid.b_min or hi > self.grid.b_max:
-            raise ValueError(
-                f"grid [{self.grid.b_min}, {self.grid.b_max}] must cover prior_mean +- 6 std "
-                f"([{lo}, {hi}])"
-            )
+        check_prior_coverage(self.grid, self.prior_mean, self.prior_std)
         if self.true_field is not None and not self.grid.b_min <= self.true_field <= self.grid.b_max:
             raise ValueError(
                 f"true_field {self.true_field} lies outside the grid "
@@ -129,18 +135,18 @@ def sample_outcome(rng: np.random.Generator, b_true: float, p: RamseyParams) -> 
 def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]:
     """Simulate the given trials; bit-identical for equal inputs.
 
-    Trials of a kind in ``LOCKSTEP_KINDS`` (myopic) advance in lockstep,
-    so each step scores every posterior against one entropy block per
-    tau; the other kinds run one trial at a time through ``run_trial``
-    and hold a single posterior.  Either way a trial's trajectory does
-    not depend on which other trials run beside it.
+    Myopic trials advance in lockstep, so each step's ``myopic_choices``
+    call scores every posterior against one entropy block per tau; the
+    other kinds run one trial at a time through ``run_trial`` and hold a
+    single posterior.  Either way a trial's trajectory does not depend on
+    which other trials run beside it.
 
     Raises:
         ZeroEvidence: an outcome had (numerically) zero probability; the
             message names the trial, the step and the master seed.
     """
     indices = [int(i) for i in trial_indices]
-    if cfg.policy.kind in LOCKSTEP_KINDS:
+    if cfg.policy.kind == "myopic_entropy":
         return _run_lockstep(cfg, indices)
     return [run_trial(cfg, i) for i in indices]
 
@@ -157,8 +163,13 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
     histories: list[list[tuple[RamseyParams, int]]] = [[] for _ in indices]
     records: list[list[StepRecord]] = [[] for _ in indices]
     for step in range(1, cfg.n_measurements + 1):
-        states = [PolicyState(post, tuple(hist), len(hist)) for post, hist in zip(posteriors, histories)]
-        chosen = next_params_lockstep(states, cfg.policy, rngs)
+        if cfg.policy.kind == "myopic_entropy":
+            chosen = myopic_choices(posteriors, cfg.policy)
+        else:
+            chosen = [
+                next_params(PolicyState(post, tuple(hist), len(hist)), cfg.policy, rng)
+                for post, hist, rng in zip(posteriors, histories, rngs)
+            ]
         for r, params in enumerate(chosen):
             outcome = sample_outcome(rngs[r], b_trues[r], params)
             try:

@@ -33,9 +33,11 @@ class TestConfigParsing:
         assert raw == {"master_seed": "7", "prior_std": "2.0"}
 
     def test_unknown_key(self, tmp_path):
-        path = _write(tmp_path, "c.cfg", "warp_speed = 9\n")
-        with pytest.raises(ConfigError, match="warp_speed"):
-            resolve_config("compare", path)
+        # there is no 'policy' key: one policy is 'policies = <name>'
+        for key in ("warp_speed", "policy"):
+            path = _write(tmp_path, "c.cfg", f"{key} = kpe\n")
+            with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
+                resolve_config("compare", path)
 
     def test_bad_value_names_key(self, tmp_path):
         path = _write(tmp_path, "c.cfg", "n_points = many\n")
@@ -78,10 +80,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             resolve_config(command, path)
 
-    def test_empty_policy_means_policies(self, tmp_path):
-        cfg = resolve_config("compare", _write(tmp_path, "c.cfg", "policy =\npolicies = kpe\n"))
-        assert cfg["policy"] == "" and cfg["policies"] == ["kpe"]
-
 
 PRIOR_STD = 2.1213203435596424  # 3 / sqrt(2)
 
@@ -97,7 +95,7 @@ DEFAULTS = {
         "b_min": -20.0, "b_max": 20.0, "n_points": 4096,
         "prior_mean": 0.0, "prior_std": PRIOR_STD, "coherence_time": 10.0,
         "n_measurements": 30, "n_realizations": 8, "master_seed": 1729,
-        "policy": None, "policies": ["random", "kpe", "variance_min", "myopic_entropy"],
+        "policies": ["random", "kpe", "variance_min", "myopic_entropy"],
         "tau_min": 0.009765625, "tau_max": 5.0, "tau_grid_size": 64, "theta_grid_size": 64,
         "kpe_tau0": 4.0, "kpe_theta0": 0.0, "true_field": None,
     },
@@ -128,11 +126,6 @@ class TestConfigSchema:
         fields = {f.name for f in dataclasses.fields(PolicyConfig)}
         assert fields - set(cfg) == {"kind"}
 
-    def test_policy_key_names_one_policy(self, tmp_path, capsys):
-        path = _write(tmp_path, "c.cfg", "policy = kpe,random\n")
-        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert "unknown policy 'kpe,random'" in capsys.readouterr().err
-
     def test_repeated_policy_is_2(self, tmp_path, capsys):
         path = _write(tmp_path, "c.cfg", "policies = random,kpe,kpe\n")
         out = tmp_path / "out"
@@ -145,10 +138,18 @@ class TestConfigSchema:
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
-        path = _write(tmp_path, "c.cfg", "bogus = 1\n")
-        code = main(["compare", "--config", path, "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "bogus" in capsys.readouterr().err
+        cases = [
+            ("compare", "bogus = 1", "bogus"),
+            # the grid must cover the prior's 6 std for mi-surface as for compare
+            ("mi-surface", "b_min = 5", "grid [5.0, 20.0] must cover prior_mean +- 6 std"),
+        ]
+        for k, (command, line, named) in enumerate(cases):
+            path = _write(tmp_path, f"c{k}.cfg", line + "\n")
+            out = tmp_path / f"out{k}"
+            code = main([command, "--config", path, "--out", str(out)])
+            assert code == 2
+            assert named in capsys.readouterr().err
+            assert not list(out.glob("*"))
 
     def test_missing_config_file_is_2(self, tmp_path):
         code = main(["compare", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -169,7 +170,7 @@ class TestExitCodes:
         monkeypatch.setattr(simulate, "bayes_update", flaky)
         path = _write(
             tmp_path, "c.cfg",
-            "policy = myopic_entropy\nn_realizations = 3\nn_measurements = 4\n"
+            "policies = myopic_entropy\nn_realizations = 3\nn_measurements = 4\n"
             "n_points = 1024\ntau_grid_size = 8\ntheta_grid_size = 8\n",
         )
         out = tmp_path / "out"
@@ -298,13 +299,6 @@ class TestCompare:
         assert (out1 / "compare_random.csv").read_bytes() != (
             out2 / "compare_random.csv"
         ).read_bytes()
-
-    def test_single_policy_key(self, tmp_path):
-        cfg = _write(tmp_path, "c.cfg", self.CFG + "policy = kpe\n")
-        out = tmp_path / "out"
-        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "compare_kpe.csv").exists()
-        assert not (out / "compare_random.csv").exists()
 
 
 class TestValidateAlpha:

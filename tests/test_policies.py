@@ -26,9 +26,9 @@ from ramsey_sched.policies import (
     _mi_matrix,
     _mi_row_bounds,
     compare_kpe_to_myopic,
+    myopic_choices,
     next_params,
     next_params_kpe,
-    next_params_lockstep,
     next_params_myopic_entropy,
     next_params_random,
     next_params_variance_min,
@@ -415,9 +415,8 @@ class TestLockstepMiKernel:
         assert got.shape == (len(ds), cfg.tau_grid_size, cfg.theta_grid_size)
         for d, scores in zip(ds, got):
             assert np.array_equal(scores, _mi_one(d, cfg))
-        states = [_state(d) for d in ds]
-        chosen = next_params_lockstep(states, cfg, [None] * len(ds))
-        assert chosen == [next_params_myopic_entropy(state, cfg) for state in states]
+        chosen = myopic_choices(ds, cfg)
+        assert chosen == [next_params_myopic_entropy(_state(d), cfg) for d in ds]
 
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
     @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
@@ -437,17 +436,6 @@ class TestLockstepMiKernel:
         ds = [uniform_distribution(GRID), uniform_distribution(FieldGrid(-20.0, 20.0, 2**10))]
         with pytest.raises(ValueError, match="one grid"):
             _mi_matrix(ds, SMALL_CFG)
-
-    def test_other_kinds_go_state_by_state(self):
-        states = [_state(d) for d in _distinct_posteriors(GRID, 8.0)]
-        for kind in ("random", "kpe", "variance_min"):
-            cfg = PolicyConfig(
-                kind=kind, tau_min=0.05, tau_max=4.0, tau_grid_size=8,
-                theta_grid_size=8, coherence_time=8.0,
-            )
-            got = next_params_lockstep(states, cfg, [np.random.default_rng(i) for i in range(3)])
-            want = [next_params(s, cfg, np.random.default_rng(i)) for i, s in enumerate(states)]
-            assert got == want
 
 
 def _random_posteriors(grid, coherence_time, seed, count):
@@ -544,9 +532,8 @@ class TestBoundPrunedChoice:
         # four posteriors at different depths keep different rows
         ds = [list(_myopic_trajectory(grid, cfg, seed, steps))[-1]
               for seed, steps in ((0, 1), (1, 4), (2, 7), (3, 10))]
-        states = [_state(d) for d in ds]
-        chosen = next_params_lockstep(states, cfg, [None] * len(ds))
-        assert chosen == [next_params_myopic_entropy(state, cfg) for state in states]
+        chosen = myopic_choices(ds, cfg)
+        assert chosen == [next_params_myopic_entropy(_state(d), cfg) for d in ds]
         full = _mi_matrix(ds, cfg)
         assert [(p.tau, p.theta) for p in chosen] == [_best_cell(m, cfg) for m in full]
 

@@ -152,21 +152,33 @@ class TestRunTrials:
         assert run_trials(cfg, [2, 0]) == [alone[2], alone[0]]
         assert run_trials(cfg, []) == []
 
-    @pytest.mark.parametrize("kind, calls", [("kpe", 3), ("myopic_entropy", 0)])
+    @pytest.mark.parametrize(
+        "kind, calls",
+        [("kpe", 3), ("myopic_entropy", 0), ("random", 3), ("variance_min", 3)],
+    )
     def test_one_at_a_time_kinds_go_through_run_trial(self, kind, calls, monkeypatch):
-        # run_trial is looked up at call time, so a wrapper on it sees
-        # every trial of a kind that does not run in lockstep
+        # run_trial and myopic_choices are looked up at call time, so a
+        # wrapper on run_trial sees every trial of a kind that does not
+        # run in lockstep, and one on myopic_choices sees each lockstep
+        # step with every trial's posterior
         cfg = _cfg(kind, n_measurements=4)
         expect = run_trials(cfg, range(3))
-        real, seen = simulate.run_trial, []
+        real_trial, seen = simulate.run_trial, []
+        real_choices, batches = simulate.myopic_choices, []
 
-        def counting(cfg, i):
+        def counting_trial(cfg, i):
             seen.append(i)
-            return real(cfg, i)
+            return real_trial(cfg, i)
 
-        monkeypatch.setattr(simulate, "run_trial", counting)
+        def counting_choices(ds, cfg):
+            batches.append(len(ds))
+            return real_choices(ds, cfg)
+
+        monkeypatch.setattr(simulate, "run_trial", counting_trial)
+        monkeypatch.setattr(simulate, "myopic_choices", counting_choices)
         assert run_trials(cfg, range(3)) == expect
         assert len(seen) == calls
+        assert batches == ([3] * 4 if kind == "myopic_entropy" else [])
 
     @pytest.mark.parametrize("kind", ["myopic_entropy", "kpe"])
     def test_zero_evidence_names_trial_step_and_seed(self, kind, monkeypatch):
