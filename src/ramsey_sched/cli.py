@@ -1,11 +1,15 @@
 """Command line interface: config parsing, subcommands, CSV emission.
 
 Configuration files are flat ``key = value`` text ('#' starts a comment).
-Every command runs with an empty (or absent) config: the defaults
-reproduce the standard experiment regimes.  Artifacts are CSV files with
-a fixed column order and 17-significant-digit floats, so reruns are
-byte-identical; each run also writes a manifest echoing the resolved
-configuration and listing every artifact.
+Every command runs with an empty (or absent) config.  ``compare``'s keys
+and defaults are the fields of ``SimConfig()``, the standard experiment:
+its grid's fields, its own fields but ``policy`` and ``grid``, and its
+policy's fields but ``kind``, plus ``policies``.  ``mi-surface`` and
+``kpe-check`` take the grid, prior and policy keys they use and override
+some of their defaults.  Artifacts are CSV files with a fixed column
+order and 17-significant-digit floats, so reruns are byte-identical;
+each run also writes a manifest echoing the resolved configuration and
+listing every artifact.
 
 Each ``cmd_*`` is a function of its resolved config alone.  It returns
 ``(artifacts, failure)``: ``artifacts`` maps each CSV name to
@@ -106,25 +110,26 @@ def _parse_policies(key, raw):
     return names
 
 
-# PolicyConfig's search-grid and halving-schedule fields are config keys
-# under their own names, defaults and types; the policy kind and
-# coherence_time are set per command.
-_POLICY_KEYS = {
-    f.name: ({float: _parse_float, int: _parse_int}[type(f.default)], f.default)
-    for f in dataclasses.fields(PolicyConfig)
-    if f.name not in ("kind", "coherence_time")
-}
+# a key parses as its default's type; true_field is the one None default
+_PARSERS = {float: _parse_float, int: _parse_int, type(None): _parse_field}
 
-_GRID_KEYS = {
-    "b_min": (_parse_float, -20.0),
-    "b_max": (_parse_float, 20.0),
-    "n_points": (_parse_int, 2**12),
-}
 
-_PRIOR_KEYS = {
-    "prior_mean": (_parse_float, 0.0),
-    "prior_std": (_parse_float, 3.0 / math.sqrt(2.0)),
-}
+def _field_keys(obj, skip=()) -> dict:
+    """{field: (parser, obj's value)} for obj's init fields not in skip."""
+    return {
+        f.name: (_PARSERS[type(getattr(obj, f.name))], getattr(obj, f.name))
+        for f in dataclasses.fields(obj)
+        if f.init and f.name not in skip
+    }
+
+
+# The standard experiment's fields are config keys under their own names,
+# with its values as defaults; the policy kind is set per command.
+_STANDARD = SimConfig()
+_GRID_KEYS = _field_keys(_STANDARD.grid)
+_SIM_KEYS = _field_keys(_STANDARD, skip=("policy", "grid"))
+_POLICY_KEYS = _field_keys(_STANDARD.policy, skip=("kind",))
+_PRIOR_KEYS = {key: _SIM_KEYS[key] for key in ("prior_mean", "prior_std")}
 
 # command -> {key: (parser, default)}, every key the command accepts.
 _COMMAND_KEYS = {
@@ -141,14 +146,9 @@ _COMMAND_KEYS = {
     },
     "compare": {
         **_GRID_KEYS,
-        **_PRIOR_KEYS,
-        "coherence_time": (_parse_float, 10.0),
-        "n_measurements": (_parse_int, 30),
-        "n_realizations": (_parse_int, 8),
-        "master_seed": (_parse_int, 1729),
-        "policies": (_parse_policies, list(POLICY_KINDS)),
+        **_SIM_KEYS,
         **_POLICY_KEYS,
-        "true_field": (_parse_field, None),
+        "policies": (_parse_policies, list(POLICY_KINDS)),
     },
     "validate-alpha": {
         "j_max": (_parse_int, 32),
@@ -159,8 +159,8 @@ _COMMAND_KEYS = {
         **_GRID_KEYS,
         "b_min": (_parse_float, -8.0 * math.pi),
         "b_max": (_parse_float, 8.0 * math.pi),
-        "coherence_time": (_parse_float, math.inf),
         **_POLICY_KEYS,
+        "coherence_time": (_parse_float, math.inf),
         "tau_min": (_parse_float, 4.0 / 512.0),
         "tau_max": (_parse_float, 4.0),
         "outcomes": (_parse_outcomes, [0, 0, 0, 0, 0]),
@@ -237,7 +237,7 @@ def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: floa
 
 
 def _grid(cfg: dict) -> FieldGrid:
-    return FieldGrid(cfg["b_min"], cfg["b_max"], cfg["n_points"])
+    return FieldGrid(**{key: cfg[key] for key in _GRID_KEYS})
 
 
 def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
@@ -258,29 +258,17 @@ def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
 
 
 def _policy_config(cfg: dict, kind: str) -> PolicyConfig:
-    return PolicyConfig(
-        kind=kind,
-        coherence_time=cfg["coherence_time"],
-        **{key: cfg[key] for key in _POLICY_KEYS},
-    )
+    return PolicyConfig(kind=kind, **{key: cfg[key] for key in _POLICY_KEYS})
 
 
 def cmd_compare(cfg: dict) -> tuple[dict, str | None]:
     """Run every requested policy with identical seeds; one CSV each."""
     grid = _grid(cfg)
+    sim = {key: cfg[key] for key in _SIM_KEYS}
     header = ["step", "mean_entropy", "std_entropy", "mean_posterior_std", "std_posterior_std"]
     artifacts = {}
     for kind in cfg["policies"]:
-        s = run_ensemble(SimConfig(
-            prior_mean=cfg["prior_mean"],
-            prior_std=cfg["prior_std"],
-            n_measurements=cfg["n_measurements"],
-            n_realizations=cfg["n_realizations"],
-            master_seed=cfg["master_seed"],
-            policy=_policy_config(cfg, kind),
-            grid=grid,
-            true_field=cfg["true_field"],
-        ))
+        s = run_ensemble(SimConfig(policy=_policy_config(cfg, kind), grid=grid, **sim))
         rows = [
             (step + 1, s.mean_entropy[step], s.std_entropy[step],
              s.mean_posterior_std[step], s.std_posterior_std[step])
@@ -369,9 +357,6 @@ def main(argv=None) -> int:
         artifacts, failure = _COMMANDS[args.command](cfg)
         if artifacts:
             _write_run(out_dir, args.command, cfg, artifacts, t0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ZeroEvidence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -458,7 +458,7 @@ def compare_kpe_to_myopic(
         raise ValueError("outcomes must be 0/1")
     posterior = uniform_distribution(grid)
     history: list[tuple[RamseyParams, int]] = []
-    params = RamseyParams(cfg.kpe_tau0, cfg.kpe_theta0, coherence_time=cfg.coherence_time)
+    params = next_params_kpe(PolicyState(posterior), cfg)
     rows: list[KpeCheckRow] = []
     for i, x in enumerate(outcomes, start=1):
         posterior = bayes_update(posterior, params, x)

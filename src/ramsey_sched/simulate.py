@@ -56,19 +56,21 @@ def check_prior_coverage(grid: FieldGrid, prior_mean: float, prior_std: float) -
 class SimConfig:
     """Everything a simulation run depends on.
 
-    true_field of None means each trial samples its own true value from
-    the Gaussian prior; a float pins it (useful for debugging and
-    oracle tests) and must lie on the grid.  Outcomes are drawn with the
-    policy's coherence_time.
+    The defaults are the standard experiment, the policy comparison that
+    ``ramsey-sched compare`` runs with no config: N = 4096 grid points,
+    T = 10, 30 measurements, 8 trials, seed 1729.  true_field of None
+    means each trial samples its own true value from the Gaussian prior;
+    a float pins it (useful for debugging and oracle tests) and must lie
+    on the grid.  Outcomes are drawn with the policy's coherence_time.
     """
 
-    prior_mean: float
-    prior_std: float
-    n_measurements: int
-    n_realizations: int
-    master_seed: int
-    policy: PolicyConfig
-    grid: FieldGrid
+    prior_mean: float = 0.0
+    prior_std: float = 3.0 / math.sqrt(2.0)
+    n_measurements: int = 30
+    n_realizations: int = 8
+    master_seed: int = 1729
+    policy: PolicyConfig = PolicyConfig(coherence_time=10.0)
+    grid: FieldGrid = FieldGrid(-20.0, 20.0, 2**12)
     true_field: float | None = None
 
     def __post_init__(self) -> None:

@@ -12,6 +12,7 @@ README's "Known results" section records the measured values.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,29 +178,12 @@ def test_criterion_4_information_surface_shape():
 
 
 def test_criterion_5_policy_comparison():
+    # the standard experiment: the default `compare` run
     t0 = time.time()
-    grid = FieldGrid(-20.0, 20.0, 2**12)
+    standard = SimConfig()
     summaries = {}
     for kind in ("random", "kpe", "variance_min", "myopic_entropy"):
-        policy = PolicyConfig(
-            kind=kind,
-            tau_min=5.0 / 512.0,
-            tau_max=5.0,
-            tau_grid_size=64,
-            theta_grid_size=64,
-            kpe_tau0=4.0,
-            kpe_theta0=0.0,
-            coherence_time=10.0,
-        )
-        cfg = SimConfig(
-            prior_mean=0.0,
-            prior_std=PRIOR_STD,
-            n_measurements=30,
-            n_realizations=8,
-            master_seed=1729,
-            policy=policy,
-            grid=grid,
-        )
+        cfg = replace(standard, policy=replace(standard.policy, kind=kind))
         summaries[kind] = run_ensemble(cfg)
     elapsed = time.time() - t0
     myopic30 = float(summaries["myopic_entropy"].mean_entropy[-1])

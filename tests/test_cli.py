@@ -14,6 +14,7 @@ from ramsey_sched.bayes import ZeroEvidence
 from ramsey_sched.cli import ConfigError, main, read_config_file, resolve_config
 from ramsey_sched.fourier import TruncationNotConverged
 from ramsey_sched.policies import PolicyConfig
+from ramsey_sched.simulate import SimConfig
 
 
 def _write(tmp_path, name, text):
@@ -125,6 +126,22 @@ class TestConfigSchema:
         # every field but the kind is a compare key
         fields = {f.name for f in dataclasses.fields(PolicyConfig)}
         assert fields - set(cfg) == {"kind"}
+        # compare's keys are the standard experiment's fields, by name,
+        # each defaulting to SimConfig()'s value, plus the policy list
+        standard = SimConfig()
+
+        def values(obj, skip=()):
+            return {
+                f.name: getattr(obj, f.name)
+                for f in dataclasses.fields(obj) if f.init and f.name not in skip
+            }
+
+        grid = values(standard.grid)
+        sim = values(standard, ("policy", "grid"))
+        policy = values(standard.policy, ("kind",))
+        assert len(grid) + len(sim) + len(policy) + 1 == len(cfg)
+        assert set(cfg) == {*grid, *sim, *policy, "policies"}
+        assert {k: v for k, v in cfg.items() if k != "policies"} == {**grid, **sim, **policy}
 
     def test_repeated_policy_is_2(self, tmp_path, capsys):
         path = _write(tmp_path, "c.cfg", "policies = random,kpe,kpe\n")

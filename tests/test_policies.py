@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -580,17 +581,12 @@ class TestPinnedMyopicCells:
     def test_default_compare_trial_0(self):
         # the first 10 steps of trial 0 are those of the 30-step run: a
         # trial's draws do not depend on the run length or the other trials
-        keys = cli.resolve_config("compare", None)
-        cfg = cli._policy_config(keys, "myopic_entropy")
-        sim = SimConfig(
-            prior_mean=keys["prior_mean"], prior_std=keys["prior_std"],
-            n_measurements=10, n_realizations=keys["n_realizations"],
-            master_seed=keys["master_seed"], policy=cfg,
-            grid=FieldGrid(keys["b_min"], keys["b_max"], keys["n_points"]),
-            true_field=keys["true_field"],
+        standard = SimConfig()
+        sim = replace(
+            standard, n_measurements=10, policy=replace(standard.policy, kind="myopic_entropy")
         )
         records = run_trials(sim, [0])[0].records
-        assert self._cells(cfg, [(r.tau, r.theta) for r in records]) == self.COMPARE_TRIAL_0
+        assert self._cells(sim.policy, [(r.tau, r.theta) for r in records]) == self.COMPARE_TRIAL_0
 
 
 class TestKpeMyopicComparison:
