@@ -30,6 +30,7 @@ from .fourier import (
     bias_from_comb,
     comb_from_distribution,
     conditional_entropy_from_comb,
+    contrast_entropy_series,
     kpe_posterior_comb,
     measurement_comb,
 )

@@ -41,8 +41,35 @@ cell by cell, up to float roundoff:
   times faster than ``xlogy``.  (numpy's vectorised log and the C
   library log that ``xlogy`` calls can differ in the last bit.)
 
-The myopic choosers build only the tau rows that can hold the best cell
-(``myopic_choices``).  Each cell's MI has two closed-form upper bounds:
+The myopic chooser builds only the tau rows that can hold the best cell
+(``myopic_choices``), and finds them with a Fourier screen.  With
+phi = 2 tau b + theta and contrast C = exp(-tau/T), l0 = (1 + C cos phi)/2,
+and the one-signed series h((1 + x)/2) = ln 2 - sum_n x^{2n}/(2n(2n - 1))
+at x = C cos phi gives
+
+    h(l0) = a_0(C) + sum_{j>=1} a_j(C) cos 2 j phi,
+
+with the a_j in closed form (``fourier.contrast_entropy_series``).  Each
+power of cos phi expands into cosines with positive weights, so a_j(C)
+< 0 for every j >= 1 at every C <= 1: the paper's sign claim for the
+full-contrast alpha_j carries over to finite T.  With the moments
+M_j = sum_b q(b) exp(4 i j tau b), formed from the cached c + is by
+turning it through 4 tau b at a time,
+
+    H(X|B) = a_0 q0 + sum_{j>=1} a_j Re[exp(2 i j theta) M_j].
+
+The screen keeps K = ``_SCREEN_TERMS`` terms, and H(X) keeps its closed
+form.  Since q >= 0 and |cos| <= 1, the terms cut off add up to at most
+q0 times the tail sum_{j>K} |a_j(C)|, and the tail is known exactly: at
+phi = 0 the series sums to h((1 + C)/2), and the terms past K all have
+one sign, so tail = a_0 - h((1 + C)/2) - sum_{j<=K} |a_j|.  Each of the
+K + 1 coefficients and the tail is within e = ``CONTRAST_SERIES_ERR``
+of its exact value, so each cell's estimate is within
+q0 (tail + (K + 2) e) of its exact score, plus float rounding in the
+estimate and in the kernel, which ``_BOUND_MARGIN`` covers.
+
+A cheaper closed-form bound (``_mi_row_bounds``) picks the rows worth
+screening.  Each cell's MI has two upper bounds:
 
 - H(X) - 4 ln2 sum_b q l0 l1, since h(l) >= 4 ln2 l(1 - l) (Topsoe,
   "Bounds for entropy and divergence for distributions over a
@@ -52,17 +79,18 @@ The myopic choosers build only the tau rows that can hold the best cell
   it is +inf where p0 p1 = 0.
 
 The trapezoid weights are positive, so both hold on the grid, not only
-in the continuum, and both need only four moments per tau: q against c,
-s, cos 4 tau b = c^2 - s^2 and sin 4 tau b = 2cs.  A row is skipped when
-the largest bound over its cells is below the best exact score less
-``TIE_TOL`` less ``_BOUND_MARGIN``.  The margin is needed because the
+in the continuum, and both need only M_1 and q against c and s.  The
+screen first takes the row of highest bound, then every row whose bound
+reaches the cutoff: the best lower estimate less ``TIE_TOL`` less
+``_BOUND_MARGIN``.  A row is built only if its bound and its upper
+estimate both reach the cutoff.  The margin is needed because the
 bounds are tight where every likelihood is 0, 1/2 or 1 (a posterior on
 one grid point, or a contrast near 0): there the bound and the exact
-score agree to rounding, and the bound can come out 1e-16 below.  Only
-whole rows are skipped: a kept row is built by the same block product
-as in the full matrix, so its scores, and the chosen cell, are
-bit-identical (block products over 1 or 2 theta rows can differ in the
-last bits from the full block's).
+score agree to rounding, and the bound can come out 1e-16 below.  Only whole rows
+are skipped: a kept row is built by the same block product as in the
+full matrix, so its scores, and the chosen cell, are bit-identical
+(block products over 1 or 2 theta rows can differ in the last bits from
+the full block's).
 """
 
 from __future__ import annotations
@@ -83,6 +111,7 @@ from .bayes import (
     bayes_update,
     uniform_distribution,
 )
+from .fourier import CONTRAST_SERIES_ERR, contrast_entropy_series
 
 POLICY_KINDS = ("random", "kpe", "variance_min", "myopic_entropy")
 
@@ -99,6 +128,9 @@ _TINY = np.finfo(float).tiny
 _BOUND_MARGIN = 1e-12
 
 _FOUR_LN2 = 4.0 * math.log(2.0)
+
+# Fourier terms of the outcome entropy the myopic screen keeps.
+_SCREEN_TERMS = 4
 
 
 @dataclass(frozen=True)
@@ -252,6 +284,23 @@ def _mi_matrix(
     return _full_theta(out, cfg)
 
 
+def _fill_harmonics(grid: FieldGrid, tau: float, trig: np.ndarray) -> None:
+    """Fill the rows of ``trig`` with c, s and then cos, sin of 4 j tau b
+    for j = 1, 2, ..., each pair the previous one turned by 4 tau b."""
+    c, s = _tau_trig(grid, tau)
+    trig[0] = c
+    trig[1] = s
+    np.multiply(c, c, out=trig[2])
+    trig[2] -= s * s
+    np.multiply(c, s, out=trig[3])
+    trig[3] *= 2.0
+    for k in range(4, len(trig), 2):
+        np.multiply(trig[k - 2], trig[2], out=trig[k])
+        trig[k] -= trig[k - 1] * trig[3]
+        np.multiply(trig[k - 2], trig[3], out=trig[k + 1])
+        trig[k + 1] += trig[k - 1] * trig[2]
+
+
 def _mi_row_bounds(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
     """Upper bound on the largest MI score of every (posterior, tau) row.
 
@@ -265,13 +314,7 @@ def _mi_row_bounds(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.nda
     trig = np.empty((4, grid.n_points))
     moments = np.empty((4, len(ds), len(taus)))
     for i, tau in enumerate(taus):
-        c, s = _tau_trig(grid, float(tau))
-        trig[0] = c
-        trig[1] = s
-        np.multiply(c, c, out=trig[2])
-        trig[2] -= s * s
-        np.multiply(c, s, out=trig[3])
-        trig[3] *= 2.0
+        _fill_harmonics(grid, float(tau), trig)
         moments[:, :, i] = trig @ qs.T
     # every array below is (posterior, tau, theta)
     q_c, q_s, q_c4, q_s4 = moments[..., None]
@@ -359,33 +402,80 @@ def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
     return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
 
 
+def _screen_estimates(
+    ds: Sequence[FieldDistribution], cfg: PolicyConfig, taus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier estimates of the MI of every scored cell in the rows of the
+    given taus, and their error bars (see the module docstring).
+
+    Returns ``est``, (posterior, tau, scored theta), and ``width``,
+    (posterior, tau): each exact score lies within ``width`` plus
+    rounding (below ``_BOUND_MARGIN``) of its estimate.
+    """
+    grid = ds[0].grid
+    qs = np.stack([grid.trapz_weights * d.density for d in ds])
+    q0 = qs.sum(axis=1)[:, None]
+    thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
+    # theta, then 2 j theta for j = 1..K, as trig holds 2 tau b, then 4 j tau b
+    angles = np.outer(np.r_[1.0, 2.0 * np.arange(1, _SCREEN_TERMS + 1)], thetas)
+    cos_a = np.cos(angles)
+    sin_a = np.sin(angles)
+    trig = np.empty((2 * _SCREEN_TERMS + 2, grid.n_points))
+    est = np.empty((len(ds), len(taus), len(thetas)))
+    width = np.empty((len(ds), len(taus)))
+    for k, tau in enumerate(taus.tolist()):
+        _fill_harmonics(grid, tau, trig)
+        m = qs @ trig.T
+        contrast = math.exp(-tau / cfg.coherence_time)
+        a, tail = contrast_entropy_series(contrast, _SCREEN_TERMS)
+        p0 = np.clip(0.5 * q0 + 0.5 * contrast * (cos_a[0] * m[:, :1] - sin_a[0] * m[:, 1:2]), 0.0, q0)
+        p1 = q0 - p0
+        h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+        # a_0 q0 + sum_j a_j Re[exp(2ij theta) M_j], M_j = sum_b q exp(4ij tau b)
+        h_xb = a[0] * q0 + (m[:, 2::2] * a[1:]) @ cos_a[1:] - (m[:, 3::2] * a[1:]) @ sin_a[1:]
+        est[:, k] = h_x - h_xb
+        width[:, k] = q0[:, 0] * (tail + (_SCREEN_TERMS + 2) * CONTRAST_SERIES_ERR)
+    return est, width
+
+
 def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
     """Tie-rule cell of each posterior's MI matrix, building only the tau
-    rows whose bound can reach that posterior's best score.
+    rows that the Fourier screen cannot rule out.
 
-    The first pass builds each posterior's highest-bound row and scores
-    every posterior on the blocks it builds, so that the second pass
-    builds none of them again; the second pass scores the other rows
-    whose bound is within ``TIE_TOL`` plus ``_BOUND_MARGIN`` of the best
-    score found.  Every row that holds a cell within ``TIE_TOL`` of the
-    optimum is scored exactly as ``_mi_matrix`` scores it, so the chosen
+    The screen first takes each posterior's row of highest closed-form
+    bound.  Its best lower estimate less ``TIE_TOL`` less
+    ``_BOUND_MARGIN`` is the posterior's cutoff; the screen then takes
+    every row whose bound reaches some posterior's cutoff, and each
+    screened row gives estimates for every posterior.  A posterior's row
+    is built only if its bound and its upper estimate both reach the
+    cutoff.  Every row that holds a cell within ``TIE_TOL`` of the optimum
+    is then built, exactly as ``_mi_matrix`` builds it, so the chosen
     cells are those of the full matrix.
     """
     bounds = _mi_row_bounds(ds, cfg)
-    first = np.zeros(bounds.shape, dtype=bool)
-    first[:, bounds.argmax(axis=1)] = True
-    scores = _mi_matrix(ds, cfg, first)
-    best = scores.max(axis=(1, 2))
-    rest = (bounds >= (best - TIE_TOL - _BOUND_MARGIN)[:, None]) & ~first
-    scores = np.maximum(scores, _mi_matrix(ds, cfg, rest))
+    taus = tau_search_grid(cfg)
+    lower = np.full(bounds.shape, -np.inf)
+    upper = bounds.copy()
+    screened = np.zeros(len(taus), dtype=bool)
+    rows = np.unique(bounds.argmax(axis=1))
+    while rows.size:
+        est, width = _screen_estimates(ds, cfg, taus[rows])
+        best = est.max(axis=2)
+        lower[:, rows] = best - width - _BOUND_MARGIN
+        upper[:, rows] = np.minimum(upper[:, rows], best + width)
+        screened[rows] = True
+        cutoff = (lower.max(axis=1) - TIE_TOL - _BOUND_MARGIN)[:, None]
+        # the cutoff only rises, so a third round would find no row
+        rows = np.flatnonzero(((bounds >= cutoff) & ~screened).any(axis=0))
+    scores = _mi_matrix(ds, cfg, upper >= cutoff)
     return [_best_params(m, cfg) for m in scores]
 
 
 def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     """Grid argmax of single-measurement mutual information.
 
-    The cell is that of an exhaustive scan; tau rows whose MI bound
-    rules them out are skipped (``myopic_choices``).
+    The cell is that of an exhaustive scan; only the tau rows that the
+    Fourier screen cannot rule out are built (``myopic_choices``).
     """
     return myopic_choices([state.posterior], cfg)[0]
 

@@ -9,8 +9,8 @@ spread.
 which trials advance together.  Myopic trials advance in lockstep: at
 each step one ``policies.myopic_choices`` call scores every trial's
 posterior against one shared entropy block per tau (for the taus that
-some trial's MI bound does not rule out), then each trial samples its
-outcome and updates on its own.  The other kinds share no scoring work
+the Fourier screen does not rule out for some trial), then each trial
+samples its outcome and updates on its own.  The other kinds share no scoring work
 and run one trial at a time, each step asking ``policies.next_params``.
 Each trial draws from its own stream, derived from (master_seed,
 trial_index), in a fixed order (true field, the policy's draws, the

@@ -14,6 +14,7 @@ from ramsey_sched.bayes import (
     uniform_distribution,
 )
 from ramsey_sched.fourier import (
+    CONTRAST_SERIES_ERR,
     DeltaComb,
     InsufficientSeries,
     TruncationNotConverged,
@@ -22,6 +23,7 @@ from ramsey_sched.fourier import (
     bias_from_comb,
     comb_from_distribution,
     conditional_entropy_from_comb,
+    contrast_entropy_series,
     kpe_posterior_comb,
     measurement_comb,
 )
@@ -228,6 +230,105 @@ class TestAlphaSeries:
     def test_term_cap_precondition(self):
         with pytest.raises(ValueError):
             alpha_series_closed(32, term_cap=20)
+
+
+CONTRASTS = [0.3, 0.9, 0.999, 1.0]
+
+# midpoint panels of the quadrature the contrast series is checked against
+QUAD_PANELS = 2**16
+
+
+def _quadrature_profile(contrast, j_max):
+    """Cosine coefficients 0..j_max of h((1 + C cos x)/2) by the midpoint
+    rule, and a bound on their error.
+
+    The rule folds coefficient j onto j +- m n/2 (m >= 1), and |a_i(C)|
+    <= |alpha_i| = 1/(4 i^3 - i), so the folded part is at most
+    2 zeta(3) |alpha_{n/2 - j_max}|; 1e-15 covers the rounding.
+    """
+    n = QUAD_PANELS
+    x = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    h = binary_entropy(0.5 * (1.0 + contrast * np.cos(x)))
+    j = np.arange(1, j_max + 1)
+    coeffs = np.r_[np.mean(h), 2.0 * (np.cos(2.0 * np.outer(j, x)) @ h) / n]
+    return coeffs, 2.0 * 1.2021 * -alpha_exact(n // 2 - j_max) + 1e-15
+
+
+def _direct_series(contrast, j_max, n_max):
+    """a_0..a_j_max summed term by term from h((1 + x)/2) = ln 2 -
+    sum_n x^{2n} / (2n (2n - 1)) with x = C cos phi, where cos^{2n} phi
+    = 4^-n [C(2n, n) + 2 sum_{j=1}^n C(2n, n - j) cos 2 j phi]."""
+    n = np.arange(1, n_max + 1, dtype=float)
+    power = contrast ** (2.0 * n) / (2.0 * n * (2.0 * n - 1.0))
+    out = np.empty(j_max + 1)
+    for j in range(j_max + 1):
+        # w[n] = 4^-n C(2n, n - j) for n >= max(j, 1), by its ratio in n
+        m = n[max(j, 1) - 1 :]
+        ratio = (2.0 * m[:-1] + 2.0) * (2.0 * m[:-1] + 1.0) / (4.0 * (m[:-1] + 1.0 - j) * (m[:-1] + 1.0 + j))
+        first = math.comb(2 * int(m[0]), int(m[0]) - j) / 4.0 ** m[0]
+        w = first * np.r_[1.0, np.cumprod(ratio)]
+        total = math.fsum(w * power[max(j, 1) - 1 :])
+        out[j] = LN2 - total if j == 0 else -2.0 * total
+    return out
+
+
+class TestContrastEntropySeries:
+    @pytest.mark.parametrize("contrast", CONTRASTS)
+    def test_signs_and_alpha_envelope(self, contrast):
+        a, tail = contrast_entropy_series(contrast, 32)
+        j = np.arange(1, 33)
+        assert np.all(a[1:] < 0.0)
+        envelope = contrast ** (2 * j) * np.array([-alpha_exact(int(k)) for k in j])
+        assert np.all(np.abs(a[1:]) <= envelope + CONTRAST_SERIES_ERR)
+        assert tail >= -CONTRAST_SERIES_ERR
+
+    def test_full_contrast_is_alpha(self):
+        a, _ = contrast_entropy_series(1.0, 32)
+        _, quad_err = _quadrature_profile(1.0, 32)
+        quad = alpha_series_quadrature(32, n_panels=QUAD_PANELS)
+        np.testing.assert_allclose(a, quad, rtol=0.0, atol=CONTRAST_SERIES_ERR + quad_err)
+        np.testing.assert_allclose(a[1:9], alpha_series_closed(8)[1:], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("contrast", [0.3, 0.9, 0.99])
+    def test_closed_forms_sum_the_direct_series(self, contrast):
+        # the direct series is one-signed and geometric in C^2: by n_max
+        # its terms are below 1e-20
+        n_max = int(math.ceil(46.0 / -math.log(contrast * contrast)))
+        a, _ = contrast_entropy_series(contrast, 8)
+        np.testing.assert_allclose(a, _direct_series(contrast, 8, n_max), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 8])
+    @pytest.mark.parametrize("contrast", CONTRASTS)
+    def test_tail_identity_against_quadrature(self, contrast, k):
+        a, tail = contrast_entropy_series(contrast, k)
+        quad, quad_err = _quadrature_profile(contrast, 64)
+        # coefficients within the stated error plus the quadrature's
+        assert np.all(np.abs(a - quad[: k + 1]) <= CONTRAST_SERIES_ERR + quad_err)
+        # the tail by the same identity from quadrature coefficients
+        edge = float(binary_entropy(0.5 * (1.0 + contrast)))
+        quad_tail = quad[0] - edge - np.abs(quad[1 : k + 1]).sum()
+        assert abs(tail - quad_tail) <= (k + 2) * CONTRAST_SERIES_ERR + (k + 1) * quad_err + 1e-15
+        # and it is the sum of the |a_j| left out: every coefficient past
+        # k is negative, and those up to 64 sum to at most the tail
+        left_out = quad[k + 1 :]
+        assert np.all(left_out < quad_err)
+        assert np.abs(left_out).sum() <= tail + 64 * quad_err
+        if contrast < 1.0:
+            # past j = 64 at C <= 0.999 the rest is below C^130 / 4
+            assert np.abs(left_out).sum() >= tail - 0.25 * contrast**130 - 64 * quad_err
+
+    def test_validation(self):
+        for bad in (-0.1, 1.0 + 1e-12, math.nan):
+            with pytest.raises(ValueError):
+                contrast_entropy_series(bad, 4)
+        with pytest.raises(ValueError):
+            contrast_entropy_series(0.5, -1)
+
+    def test_cached_and_read_only(self):
+        a, tail = contrast_entropy_series(0.75, 4)
+        assert contrast_entropy_series(0.75, 4)[0] is a
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 class TestConditionalEntropyFromComb:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ramsey_sched import cli
+from ramsey_sched import cli, policies
 from ramsey_sched.bayes import (
     FieldDistribution,
     FieldGrid,
@@ -26,6 +26,7 @@ from ramsey_sched.policies import (
     _expected_variance_matrix,
     _mi_matrix,
     _mi_row_bounds,
+    _screen_estimates,
     compare_kpe_to_myopic,
     myopic_choices,
     next_params,
@@ -556,14 +557,77 @@ class TestBoundPrunedChoice:
         assert np.all(got[~need] == -np.inf)
 
 
+class TestFourierScreen:
+    def _assert_estimates_cover(self, ds, cfg):
+        # every cell's exact score lies within its estimate's error bar
+        est, width = _screen_estimates(ds, cfg, tau_search_grid(cfg))
+        exact = _mi_matrix(ds, cfg)[:, :, : est.shape[2]]
+        assert np.all(np.abs(exact - est) <= width[:, :, None] + _BOUND_MARGIN)
+        return est, width
+
+    @pytest.mark.parametrize("theta_grid_size", [12, 9])
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_estimates_within_error_bar(self, coherence_time, theta_grid_size):
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 13)]
+        two_points = [_two_point_posterior(GRID, b, b + math.pi / 4.0) for b in (-3.0, 0.0, 1.7)]
+        deep = list(_myopic_trajectory(GRID, replace(cfg, theta_grid_size=16), 3, 30))[9::10]
+        ds = (_random_posteriors(GRID, coherence_time, 11, 6) + spikes + two_points + deep
+              + [uniform_distribution(GRID)])
+        self._assert_estimates_cover(ds, cfg)
+
+    def test_estimates_on_the_rounding_grid(self):
+        grid, cfg, _, spike = _rounding_case()
+        two_point = _two_point_posterior(grid, 0.0, math.pi / 4.0)
+        self._assert_estimates_cover(_distinct_posteriors(grid, math.inf) + [spike, two_point], cfg)
+
+    def test_error_bar_below_tie_tol_at_low_contrast(self):
+        # at T = 2 the longest tau has contrast e^-2, where K = 4 terms
+        # leave a tail below TIE_TOL
+        cfg = PolicyConfig(tau_min=0.05, tau_max=4.0, tau_grid_size=8, coherence_time=2.0)
+        _, width = self._assert_estimates_cover(_random_posteriors(GRID, 2.0, 5, 2), cfg)
+        assert np.all(width[:, -1] < TIE_TOL)
+        assert np.all(width[:, 0] > TIE_TOL)
+
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_screened_choice_equals_full_scan_over_30_steps(self, coherence_time, monkeypatch):
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
+            theta_grid_size=16, coherence_time=coherence_time,
+        )
+        built = []
+        full_matrix = policies._mi_matrix
+
+        def counting(ds, cfg, need=None):
+            built.append(need.any(axis=0).mean())
+            return full_matrix(ds, cfg, need)
+
+        monkeypatch.setattr(policies, "_mi_matrix", counting)
+        for seed in range(2):
+            for d in _myopic_trajectory(GRID, cfg, seed, 30):
+                full = full_matrix([d], cfg)[0]
+                p = next_params_myopic_entropy(_state(d), cfg)
+                assert (p.tau, p.theta) == _best_cell(full, cfg)
+        # the screen builds few rows (the point of it)
+        assert np.mean(built) < 0.25
+
+
 class TestPinnedMyopicCells:
     # (tau index, theta index) the myopic policy chose at the default
-    # configurations, recorded before rows were pruned; cell indices hold
-    # across platforms where float bytes may not
+    # configurations, recorded before the Fourier screen (the first ten
+    # compare cells before any row was pruned); cell indices hold across
+    # platforms where float bytes may not
     KPE_CHECK = [(56, 0), (49, 0), (42, 0), (35, 0), (28, 0)]
     COMPARE_TRIAL_0 = [
         (36, 16), (39, 29), (43, 22), (47, 14), (35, 31),
         (50, 24), (53, 4), (43, 8), (56, 2), (57, 11),
+        (58, 7), (58, 1), (60, 12), (61, 20), (61, 24),
+        (54, 26), (61, 28), (63, 1), (63, 4), (63, 8),
+        (63, 4), (63, 2), (63, 31), (63, 28), (63, 31),
+        (63, 29), (63, 31), (63, 29), (63, 31), (63, 1),
     ]
 
     @staticmethod
@@ -579,12 +643,10 @@ class TestPinnedMyopicCells:
         assert self._cells(cfg, [(r.myopic_tau, r.myopic_theta) for r in rows]) == self.KPE_CHECK
 
     def test_default_compare_trial_0(self):
-        # the first 10 steps of trial 0 are those of the 30-step run: a
-        # trial's draws do not depend on the run length or the other trials
+        # all 30 steps of trial 0 of the standard experiment: the deep
+        # posteriors of the last steps are where the screen rules out most
         standard = SimConfig()
-        sim = replace(
-            standard, n_measurements=10, policy=replace(standard.policy, kind="myopic_entropy")
-        )
+        sim = replace(standard, policy=replace(standard.policy, kind="myopic_entropy"))
         records = run_trials(sim, [0])[0].records
         assert self._cells(sim.policy, [(r.tau, r.theta) for r in records]) == self.COMPARE_TRIAL_0
 
