@@ -58,18 +58,17 @@ turning it through 4 tau b at a time,
 
     H(X|B) = a_0 q0 + sum_{j>=1} a_j Re[exp(2 i j theta) M_j].
 
-The screen keeps K = ``_SCREEN_TERMS`` terms, and H(X) keeps its closed
-form.  Since q >= 0 and |cos| <= 1, the terms cut off add up to at most
-q0 times the tail sum_{j>K} |a_j(C)|, and the tail is known exactly: at
-phi = 0 the series sums to h((1 + C)/2), and the terms past K all have
-one sign, so tail = a_0 - h((1 + C)/2) - sum_{j<=K} |a_j|.  Each of the
-K + 1 coefficients and the tail is within e = ``CONTRAST_SERIES_ERR``
-of its exact value, so each cell's estimate is within
-q0 (tail + (K + 2) e) of its exact score, plus float rounding in the
-estimate and in the kernel, which ``_BOUND_MARGIN`` covers.
+A screen keeps K terms (``_SCREEN_TERMS``, or 1 in a first pass), and
+H(X) keeps its closed form.  Since q >= 0 and |cos| <= 1, the terms cut
+off add up to at most q0 times the tail sum_{j>K} |a_j(C)|, and the
+tail is known exactly: at phi = 0 the series sums to h((1 + C)/2), and
+the terms past K all have one sign, so tail = a_0 - h((1 + C)/2) -
+sum_{j<=K} |a_j|.  Each of the K + 1 coefficients and the tail is within
+e = ``CONTRAST_SERIES_ERR`` of its exact value, so each cell's estimate
+is within q0 (tail + (K + 2) e) of its exact score, plus float rounding
+in the estimate and in the kernel, which ``_BOUND_MARGIN`` covers.
 
-A cheaper closed-form bound (``_mi_row_bounds``) picks the rows worth
-screening.  Each cell's MI has two upper bounds:
+The same moments give each cell's MI two closed-form upper bounds:
 
 - H(X) - 4 ln2 sum_b q l0 l1, since h(l) >= 4 ln2 l(1 - l) (Topsoe,
   "Bounds for entropy and divergence for distributions over a
@@ -79,18 +78,22 @@ screening.  Each cell's MI has two upper bounds:
   it is +inf where p0 p1 = 0.
 
 The trapezoid weights are positive, so both hold on the grid, not only
-in the continuum, and both need only M_1 and q against c and s.  The
-screen first takes the row of highest bound, then every row whose bound
-reaches the cutoff: the best lower estimate less ``TIE_TOL`` less
-``_BOUND_MARGIN``.  A row is built only if its bound and its upper
-estimate both reach the cutoff.  The margin is needed because the
-bounds are tight where every likelihood is 0, 1/2 or 1 (a posterior on
-one grid point, or a contrast near 0): there the bound and the exact
-score agree to rounding, and the bound can come out 1e-16 below.  Only whole rows
-are skipped: a kept row is built by the same block product as in the
-full matrix, so its scores, and the chosen cell, are bit-identical
-(block products over 1 or 2 theta rows can differ in the last bits from
-the full block's).
+in the continuum, and both need only M_1 and q against c and s: the
+moments of a k = 1 screen.  So one pass (``_screen``) gives every row
+its bound and a k = 1 estimate.  A row's upper value is the smaller of
+its bound and its upper estimate, and the cutoff is the best lower
+estimate less ``TIE_TOL`` less ``_BOUND_MARGIN``.  The chooser runs the
+k = 1 pass over all rows, screens at K terms each posterior's row of
+highest upper value, then every row whose upper value still reaches the
+cutoff, and builds a row only if its upper value reaches the final
+cutoff.  The
+margin is needed because the bounds are tight where every likelihood is
+0, 1/2 or 1 (a posterior on one grid point, or a contrast near 0): there
+the bound and the exact score agree to rounding, and the bound can come
+out 1e-16 below.  Only whole rows are skipped: a kept row is built by
+the same block product as in the full matrix, so its scores, and the
+chosen cell, are bit-identical (block products over 1 or 2 theta rows
+can differ in the last bits from the full block's).
 """
 
 from __future__ import annotations
@@ -183,8 +186,12 @@ class PolicyState:
             )
 
 
+@lru_cache(maxsize=64)
 def tau_search_grid(cfg: PolicyConfig) -> np.ndarray:
-    return np.geomspace(cfg.tau_min, cfg.tau_max, cfg.tau_grid_size)
+    # cached read-only: every decision of a run asks for the same grid
+    taus = np.geomspace(cfg.tau_min, cfg.tau_max, cfg.tau_grid_size)
+    taus.flags.writeable = False
+    return taus
 
 
 def theta_search_grid(cfg: PolicyConfig) -> np.ndarray:
@@ -301,32 +308,46 @@ def _fill_harmonics(grid: FieldGrid, tau: float, trig: np.ndarray) -> None:
         trig[k + 1] += trig[k - 1] * trig[2]
 
 
-def _mi_row_bounds(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
-    """Upper bound on the largest MI score of every (posterior, tau) row.
+def _screen(
+    ds: Sequence[FieldDistribution], cfg: PolicyConfig, taus: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form bound and k-term Fourier estimates (k >= 1) of the MI
+    in the rows of the given taus, from one pass over their 2k + 2
+    harmonic moments (see the module docstring).
 
-    Each scored cell takes the smaller of its two closed-form bounds (see
-    the module docstring); a row's bound is the largest over its cells.
+    Returns ``bound``, (posterior, tau), the largest of the row's cell
+    bounds; ``est``, (posterior, tau, scored theta); and ``width``,
+    (posterior, tau): each exact score lies within ``width`` plus rounding
+    (below ``_BOUND_MARGIN``) of its estimate.
     """
     grid = _shared_grid(ds)
-    taus = tau_search_grid(cfg)
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
     qs = np.stack([grid.trapz_weights * d.density for d in ds])
-    trig = np.empty((4, grid.n_points))
-    moments = np.empty((4, len(ds), len(taus)))
-    for i, tau in enumerate(taus):
-        _fill_harmonics(grid, float(tau), trig)
+    contrast = np.exp(-taus / cfg.coherence_time)
+    trig = np.empty((2 * k + 2, grid.n_points))
+    moments = np.empty((2 * k + 2, len(ds), len(taus)))
+    a = np.empty((k + 1, len(taus)))
+    tail = np.empty(len(taus))
+    for i, tau in enumerate(taus.tolist()):
+        _fill_harmonics(grid, tau, trig)
         moments[:, :, i] = trig @ qs.T
-    # every array below is (posterior, tau, theta)
-    q_c, q_s, q_c4, q_s4 = moments[..., None]
+        a[:, i], tail[i] = contrast_entropy_series(float(contrast[i]), k)
+    # every array below is (posterior, tau, theta); re puts j = 1..k first
+    q_c, q_s = moments[:2, :, :, None]
     q0 = qs.sum(axis=1)[:, None, None]
-    half_c = 0.5 * np.exp(-taus / cfg.coherence_time)[:, None]
-    # u = cos(2 tau b + theta), so l0 = 1/2 + half_c u and l0 l1 =
-    # 1/4 - half_c^2 u^2, where u^2 = (1 + cos(4 tau b + 2 theta)) / 2
+    half_c = 0.5 * contrast[:, None]
+    # re_j = Re[exp(2 i j theta) M_j], M_j = sum_b q exp(4 i j tau b)
+    angles = 2.0 * np.arange(1, k + 1)[:, None, None, None] * thetas
+    re = np.cos(angles) * moments[2::2, ..., None] - np.sin(angles) * moments[3::2, ..., None]
+    # u = cos(2 tau b + theta), so p0 = q0/2 + half_c sum_b q u
     q_u = np.cos(thetas) * q_c - np.sin(thetas) * q_s
-    q_uu = 0.5 * (q0 + np.cos(2.0 * thetas) * q_c4 - np.sin(2.0 * thetas) * q_s4)
     p0 = np.clip(0.5 * q0 + half_c * q_u, 0.0, q0)
     p1 = q0 - p0
     h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+    est = h_x - a[0, :, None] * q0 - (a[1:, None, :, None] * re).sum(axis=0)
+    width = q0[:, :, 0] * (tail + (k + 2) * CONTRAST_SERIES_ERR)
+    # l0 l1 = 1/4 - half_c^2 u^2, where u^2 = (1 + cos(4 tau b + 2 theta)) / 2
+    q_uu = 0.5 * (q0 + re[0])
     hc2 = half_c * half_c
     topsoe = h_x - _FOUR_LN2 * (0.25 * q0 - hc2 * q_uu)
     # chi^2 of l against p, averaged over the normalised posterior; the
@@ -336,7 +357,7 @@ def _mi_row_bounds(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.nda
     pp = p0 * p1
     with np.errstate(divide="ignore", invalid="ignore"):
         chi2 = np.where(pp > 0.0, q0 * np.log1p(var / pp) - xlogy(q0, q0), np.inf)
-    return np.minimum(topsoe, chi2).max(axis=-1)
+    return np.minimum(topsoe, chi2).max(axis=-1), est, width
 
 
 def _expected_variance_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
@@ -402,71 +423,39 @@ def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
     return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
 
 
-def _screen_estimates(
-    ds: Sequence[FieldDistribution], cfg: PolicyConfig, taus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier estimates of the MI of every scored cell in the rows of the
-    given taus, and their error bars (see the module docstring).
-
-    Returns ``est``, (posterior, tau, scored theta), and ``width``,
-    (posterior, tau): each exact score lies within ``width`` plus
-    rounding (below ``_BOUND_MARGIN``) of its estimate.
-    """
-    grid = ds[0].grid
-    qs = np.stack([grid.trapz_weights * d.density for d in ds])
-    q0 = qs.sum(axis=1)[:, None]
-    thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
-    # theta, then 2 j theta for j = 1..K, as trig holds 2 tau b, then 4 j tau b
-    angles = np.outer(np.r_[1.0, 2.0 * np.arange(1, _SCREEN_TERMS + 1)], thetas)
-    cos_a = np.cos(angles)
-    sin_a = np.sin(angles)
-    trig = np.empty((2 * _SCREEN_TERMS + 2, grid.n_points))
-    est = np.empty((len(ds), len(taus), len(thetas)))
-    width = np.empty((len(ds), len(taus)))
-    for k, tau in enumerate(taus.tolist()):
-        _fill_harmonics(grid, tau, trig)
-        m = qs @ trig.T
-        contrast = math.exp(-tau / cfg.coherence_time)
-        a, tail = contrast_entropy_series(contrast, _SCREEN_TERMS)
-        p0 = np.clip(0.5 * q0 + 0.5 * contrast * (cos_a[0] * m[:, :1] - sin_a[0] * m[:, 1:2]), 0.0, q0)
-        p1 = q0 - p0
-        h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
-        # a_0 q0 + sum_j a_j Re[exp(2ij theta) M_j], M_j = sum_b q exp(4ij tau b)
-        h_xb = a[0] * q0 + (m[:, 2::2] * a[1:]) @ cos_a[1:] - (m[:, 3::2] * a[1:]) @ sin_a[1:]
-        est[:, k] = h_x - h_xb
-        width[:, k] = q0[:, 0] * (tail + (_SCREEN_TERMS + 2) * CONTRAST_SERIES_ERR)
-    return est, width
-
-
 def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
     """Tie-rule cell of each posterior's MI matrix, building only the tau
     rows that the Fourier screen cannot rule out.
 
-    The screen first takes each posterior's row of highest closed-form
-    bound.  Its best lower estimate less ``TIE_TOL`` less
-    ``_BOUND_MARGIN`` is the posterior's cutoff; the screen then takes
-    every row whose bound reaches some posterior's cutoff, and each
-    screened row gives estimates for every posterior.  A posterior's row
-    is built only if its bound and its upper estimate both reach the
-    cutoff.  Every row that holds a cell within ``TIE_TOL`` of the optimum
-    is then built, exactly as ``_mi_matrix`` builds it, so the chosen
-    cells are those of the full matrix.
+    A k = 1 pass over every row gives each posterior's row its
+    closed-form bound and a first estimate; its upper value is the
+    smaller of the bound and the upper estimate, and the posterior's
+    cutoff is its best lower estimate less ``TIE_TOL`` less
+    ``_BOUND_MARGIN``.  The screen then takes, at ``_SCREEN_TERMS`` terms,
+    each posterior's row of highest upper value, then every row whose
+    upper value still reaches some posterior's cutoff; each screened row
+    tightens both values for every posterior.  A posterior's row is built
+    only if its upper value reaches the cutoff.  Every row that holds a
+    cell within ``TIE_TOL`` of the optimum is then built, exactly as
+    ``_mi_matrix`` builds it, so the chosen cells are those of the full
+    matrix.
     """
-    bounds = _mi_row_bounds(ds, cfg)
     taus = tau_search_grid(cfg)
-    lower = np.full(bounds.shape, -np.inf)
-    upper = bounds.copy()
+    bound, est, width = _screen(ds, cfg, taus, 1)
+    best = est.max(axis=2)
+    lower = best - width - _BOUND_MARGIN
+    upper = np.minimum(bound, best + width)
     screened = np.zeros(len(taus), dtype=bool)
-    rows = np.unique(bounds.argmax(axis=1))
+    rows = np.unique(upper.argmax(axis=1))
     while rows.size:
-        est, width = _screen_estimates(ds, cfg, taus[rows])
+        _, est, width = _screen(ds, cfg, taus[rows], _SCREEN_TERMS)
         best = est.max(axis=2)
-        lower[:, rows] = best - width - _BOUND_MARGIN
+        lower[:, rows] = np.maximum(lower[:, rows], best - width - _BOUND_MARGIN)
         upper[:, rows] = np.minimum(upper[:, rows], best + width)
         screened[rows] = True
         cutoff = (lower.max(axis=1) - TIE_TOL - _BOUND_MARGIN)[:, None]
         # the cutoff only rises, so a third round would find no row
-        rows = np.flatnonzero(((bounds >= cutoff) & ~screened).any(axis=0))
+        rows = np.flatnonzero(((upper >= cutoff) & ~screened).any(axis=0))
     scores = _mi_matrix(ds, cfg, upper >= cutoff)
     return [_best_params(m, cfg) for m in scores]
 

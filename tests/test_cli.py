@@ -300,13 +300,17 @@ class TestCompare:
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", self.CFG + "policies = random,kpe\n")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["compare", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["compare", "--config", cfg, "--out", str(out2)]) == 0
-        for kind in ("random", "kpe"):
-            assert (out1 / f"compare_{kind}.csv").read_bytes() == (
-                out2 / f"compare_{kind}.csv"
-            ).read_bytes()
+        # the default kpe-check runs the myopic chooser at T = inf
+        runs = [
+            (["compare", "--config", cfg], ["compare_random.csv", "compare_kpe.csv"]),
+            (["kpe-check"], ["kpe_check.csv"]),
+        ]
+        for i, (args, csvs) in enumerate(runs):
+            out1, out2 = tmp_path / f"a{i}", tmp_path / f"b{i}"
+            assert main(args + ["--out", str(out1)]) == 0
+            assert main(args + ["--out", str(out2)]) == 0
+            for name in csvs:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", self.CFG + "policies = random\n")

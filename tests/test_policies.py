@@ -24,9 +24,9 @@ from ramsey_sched.policies import (
     PolicyState,
     _best_cell,
     _expected_variance_matrix,
+    _SCREEN_TERMS,
     _mi_matrix,
-    _mi_row_bounds,
-    _screen_estimates,
+    _screen,
     compare_kpe_to_myopic,
     myopic_choices,
     next_params,
@@ -472,12 +472,20 @@ def _myopic_trajectory(grid, cfg, seed, steps):
         d = bayes_update(d, p, 0 if rng.random() < likelihood(0, b_true, p) else 1)
 
 
-class TestBoundPrunedChoice:
-    def _assert_bound_covers_rows(self, ds, cfg):
-        bounds = _mi_row_bounds(ds, cfg)
-        assert bounds.shape == (len(ds), cfg.tau_grid_size)
-        assert np.all(bounds >= _mi_matrix(ds, cfg).max(axis=2) - _BOUND_MARGIN)
+def _assert_screen_covers(ds, cfg):
+    # at k = 1 and at k = _SCREEN_TERMS: the bound covers every row and
+    # every cell's exact score lies within its estimate's error bar;
+    # returns the k = _SCREEN_TERMS bound and error bars
+    exact = _mi_matrix(ds, cfg)
+    for k in (1, _SCREEN_TERMS):
+        bound, est, width = _screen(ds, cfg, tau_search_grid(cfg), k)
+        assert bound.shape == width.shape == (len(ds), cfg.tau_grid_size)
+        assert np.all(bound >= exact.max(axis=2) - _BOUND_MARGIN)
+        assert np.all(np.abs(exact[:, :, : est.shape[2]] - est) <= width[:, :, None] + _BOUND_MARGIN)
+    return bound, width
 
+
+class TestBoundPrunedChoice:
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
     @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
     def test_bound_covers_every_cell(self, coherence_time, theta_grid_size):
@@ -489,11 +497,11 @@ class TestBoundPrunedChoice:
         # the exact score is 0 up to rounding, on either side
         spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 39)]
         ds = _random_posteriors(GRID, coherence_time, 7, 6) + spikes
-        self._assert_bound_covers_rows(ds + [uniform_distribution(GRID)], cfg)
+        _assert_screen_covers(ds + [uniform_distribution(GRID)], cfg)
 
     def test_bound_on_the_rounding_grid(self):
         grid, cfg, _, spike = _rounding_case()
-        self._assert_bound_covers_rows(_distinct_posteriors(grid, math.inf) + [spike], cfg)
+        _assert_screen_covers(_distinct_posteriors(grid, math.inf) + [spike], cfg)
 
     def test_bound_is_tight_where_outcomes_are_certain(self):
         # T = inf, mass 1/2 on b = 0 and b = pi/4: at tau = 2, theta = 0
@@ -503,8 +511,8 @@ class TestBoundPrunedChoice:
         d = _two_point_posterior(grid, 0.0, math.pi / 4.0)
         row = _mi_matrix([d], cfg)[0, -1]
         assert row.max() == pytest.approx(math.log(2.0), abs=1e-15)
-        self._assert_bound_covers_rows([d], cfg)
-        assert _mi_row_bounds([d], cfg)[0, -1] == pytest.approx(math.log(2.0), abs=1e-15)
+        bound, _ = _assert_screen_covers([d], cfg)
+        assert bound[0, -1] == pytest.approx(math.log(2.0), abs=1e-15)
 
     @pytest.mark.parametrize("n_points", [2**11, 2**12])
     @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
@@ -520,7 +528,7 @@ class TestBoundPrunedChoice:
                 full = _mi_matrix([d], cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
-                bounds = _mi_row_bounds([d], cfg)[0]
+                bounds = _screen([d], cfg, tau_search_grid(cfg), 1)[0][0]
                 kept.append(np.mean(bounds >= full.max() - TIE_TOL - _BOUND_MARGIN))
         # the bound rules out most rows (the point of pruning)
         assert np.mean(kept) < 0.5
@@ -558,13 +566,6 @@ class TestBoundPrunedChoice:
 
 
 class TestFourierScreen:
-    def _assert_estimates_cover(self, ds, cfg):
-        # every cell's exact score lies within its estimate's error bar
-        est, width = _screen_estimates(ds, cfg, tau_search_grid(cfg))
-        exact = _mi_matrix(ds, cfg)[:, :, : est.shape[2]]
-        assert np.all(np.abs(exact - est) <= width[:, :, None] + _BOUND_MARGIN)
-        return est, width
-
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
     @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
     def test_estimates_within_error_bar(self, coherence_time, theta_grid_size):
@@ -577,18 +578,18 @@ class TestFourierScreen:
         deep = list(_myopic_trajectory(GRID, replace(cfg, theta_grid_size=16), 3, 30))[9::10]
         ds = (_random_posteriors(GRID, coherence_time, 11, 6) + spikes + two_points + deep
               + [uniform_distribution(GRID)])
-        self._assert_estimates_cover(ds, cfg)
+        _assert_screen_covers(ds, cfg)
 
     def test_estimates_on_the_rounding_grid(self):
         grid, cfg, _, spike = _rounding_case()
         two_point = _two_point_posterior(grid, 0.0, math.pi / 4.0)
-        self._assert_estimates_cover(_distinct_posteriors(grid, math.inf) + [spike, two_point], cfg)
+        _assert_screen_covers(_distinct_posteriors(grid, math.inf) + [spike, two_point], cfg)
 
     def test_error_bar_below_tie_tol_at_low_contrast(self):
         # at T = 2 the longest tau has contrast e^-2, where K = 4 terms
         # leave a tail below TIE_TOL
         cfg = PolicyConfig(tau_min=0.05, tau_max=4.0, tau_grid_size=8, coherence_time=2.0)
-        _, width = self._assert_estimates_cover(_random_posteriors(GRID, 2.0, 5, 2), cfg)
+        _, width = _assert_screen_covers(_random_posteriors(GRID, 2.0, 5, 2), cfg)
         assert np.all(width[:, -1] < TIE_TOL)
         assert np.all(width[:, 0] > TIE_TOL)
 
@@ -598,21 +599,31 @@ class TestFourierScreen:
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
             theta_grid_size=16, coherence_time=coherence_time,
         )
-        built = []
-        full_matrix = policies._mi_matrix
+        built, screened = [], []
+        full_matrix, full_screen = policies._mi_matrix, policies._screen
 
         def counting(ds, cfg, need=None):
             built.append(need.any(axis=0).mean())
             return full_matrix(ds, cfg, need)
 
+        def counting_screen(ds, cfg, taus, k):
+            if k == _SCREEN_TERMS:
+                screened.append(len(taus) / cfg.tau_grid_size)
+            return full_screen(ds, cfg, taus, k)
+
         monkeypatch.setattr(policies, "_mi_matrix", counting)
+        monkeypatch.setattr(policies, "_screen", counting_screen)
         for seed in range(2):
             for d in _myopic_trajectory(GRID, cfg, seed, 30):
                 full = full_matrix([d], cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
-        # the screen builds few rows (the point of it)
+        # the screen builds few rows (the point of it); at finite T the
+        # k = 1 pass leaves few rows to screen at K terms (37-42% of the
+        # rows when only the bounds picked them), at T = inf its error
+        # bar of about 0.05 q0 rules out little
         assert np.mean(built) < 0.25
+        assert sum(screened) / len(built) < (0.45 if math.isinf(coherence_time) else 0.3)
 
 
 class TestPinnedMyopicCells:
