@@ -19,12 +19,12 @@ from ramsey_sched.bayes import (
 )
 from ramsey_sched.policies import (
     _BOUND_MARGIN,
+    _SCREEN_TERMS,
     TIE_TOL,
     PolicyConfig,
     PolicyState,
     _best_cell,
     _expected_variance_matrix,
-    _SCREEN_TERMS,
     _mi_matrix,
     _screen,
     compare_kpe_to_myopic,
@@ -619,9 +619,9 @@ class TestFourierScreen:
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
         # the screen builds few rows (the point of it); at finite T the
-        # k = 1 pass leaves few rows to screen at K terms (37-42% of the
-        # rows when only the bounds picked them), at T = inf its error
-        # bar of about 0.05 q0 rules out little
+        # k = 1 pass leaves few rows to screen at K terms (the bounds
+        # alone leave 37-42%), at T = inf its error bar of about 0.05 q0
+        # rules out little
         assert np.mean(built) < 0.25
         assert sum(screened) / len(built) < (0.45 if math.isinf(coherence_time) else 0.3)
 
