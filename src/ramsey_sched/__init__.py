@@ -23,7 +23,6 @@ from .bayes import (
 )
 from .fourier import (
     DeltaComb,
-    InsufficientSeries,
     TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,

@@ -66,10 +66,6 @@ class FieldGrid:
     def spacing(self) -> float:
         return (self.b_max - self.b_min) / (self.n_points - 1)
 
-    @property
-    def width(self) -> float:
-        return self.b_max - self.b_min
-
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal integral of point values over the grid."""
         return float(self.trapz_weights @ values)

@@ -12,13 +12,13 @@ Transform convention, fixed once and used in every phase formula here:
     F[p](xi) = integral p(b) exp(-i xi b) db
 
 so a density term cos(w b + phi) contributes amplitude exp(+i phi)/2 at
-xi = +w and the conjugate at xi = -w.  The closed expressions below
-(bias, conditional entropy, the triangular schedule comb) assume full
-contrast, i.e. infinite coherence time; finite-T cases route through the
-grid instead.  The one finite-contrast expression is
-:func:`contrast_entropy_series`, the outcome-entropy coefficients
-a_j(C) at any contrast C in [0, 1], which the myopic policy's Fourier
-screen uses.
+xi = +w and the conjugate at xi = -w.  The measurement comb, the bias
+and the conditional entropy hold at any contrast C = exp(-tau/T): the
+outcome-entropy profile at contrast C has the closed-form cosine
+coefficients a_j(C) of :func:`contrast_entropy_series`, which the
+myopic policy's Fourier screen also uses.  Only
+:func:`kpe_posterior_comb`, the halving schedule's triangular comb,
+assumes full contrast (T = infinity).
 
 The outcome-entropy coefficients alpha_0..alpha_j_max are a plain
 read-only float array, indexed by j.  The paper's claim about them
@@ -55,10 +55,6 @@ CONTRAST_SERIES_ERR = 1e-14
 
 class TruncationNotConverged(RuntimeError):
     """The closed coefficient series hit its term cap before converging."""
-
-
-class InsufficientSeries(ValueError):
-    """A comb peak needs a series coefficient beyond the computed order."""
 
 
 @dataclass(frozen=True)
@@ -170,13 +166,14 @@ def bias_from_comb(c: DeltaComb, p: RamseyParams) -> float:
 
     Only the comb amplitudes at +-2 tau enter; with no peak there the
     measurement is off-resonance and exactly unbiased.  The value is the
-    same for both outcomes.
+    same for both outcomes, and at most 1/2 even when quadrature roundoff
+    leaves a comb's zero-frequency amplitude just above 1.
     """
     xi = 2.0 * p.tau
     a_plus = c.amplitude_at(xi)
     a_minus = c.amplitude_at(-xi)
     phase = np.exp(1j * p.theta)
-    return 0.25 * p.contrast * abs(phase * a_minus + np.conj(phase) * a_plus)
+    return min(0.5, 0.25 * p.contrast * abs(phase * a_minus + np.conj(phase) * a_plus))
 
 
 def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
@@ -310,41 +307,25 @@ def contrast_entropy_series(contrast: float, k: int) -> tuple[np.ndarray, float]
     return coeffs, tail
 
 
-def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams, a: np.ndarray) -> float:
-    """H(X|B) in nats for a full-contrast measurement against comb ``c``.
+def conditional_entropy_from_comb(c: DeltaComb, p: RamseyParams) -> float:
+    """H(X|B) in nats for a measurement of any contrast against comb ``c``.
 
-    ``a`` holds the coefficients alpha_0..alpha_j_max, so j_max is
-    ``len(a) - 1``.  The measurement must have full contrast
-    (``p.contrast == 1``: infinite coherence time, or tau = 0), because
-    the coefficients are those of the full-contrast profile.  The result
-    equals the profile mean (coefficient 0) plus one term per comb peak
-    sitting on the harmonic ladder 4 tau k; a diffuse comb gives the
-    mean exactly.  Agrees with the grid evaluation when ``c`` was built
-    from the same wide periodic distribution.
-
-    Raises:
-        ValueError: the measurement's contrast is below 1.
-        InsufficientSeries: a comb peak needs k beyond j_max.
+    The result is the profile mean a_0(C) plus one term
+    a_k(C) Re[exp(-2 i k theta) amp] per comb peak on the harmonic ladder
+    xi = 4 tau k, k >= 1, with the coefficients of
+    :func:`contrast_entropy_series` at the measurement's contrast; a
+    diffuse comb gives a_0(C) exactly.  Agrees with the grid evaluation
+    when ``c`` was built from the same wide periodic distribution.
     """
-    if p.contrast < 1.0:
-        raise ValueError(f"require full contrast, got contrast {p.contrast!r}")
     if p.tau == 0.0:
+        # the ladder base is 0: every field gives the same outcome profile
         return float(binary_entropy(0.5 * (1.0 + math.cos(p.theta))))
-    j_max = len(a) - 1
     base = 4.0 * p.tau
-    total = float(a[0])
-    for xi, amp in zip(c.frequencies, c.amplitudes):
-        if xi <= MERGE_TOL:
-            continue
-        k = int(round(xi / base))
-        if k < 1 or abs(xi - k * base) > MERGE_TOL:
-            continue
-        if k > j_max:
-            raise InsufficientSeries(
-                f"comb peak at xi={xi} needs coefficient {k} but series stops at {j_max}"
-            )
-        total += float(a[k]) * float((np.exp(-2j * k * p.theta) * amp).real)
-    return total
+    k = np.rint(c.frequencies / base)
+    on = (k >= 1) & (np.abs(c.frequencies - k * base) <= MERGE_TOL)
+    k = k[on].astype(int)
+    a, _ = contrast_entropy_series(p.contrast, int(k.max(initial=0)))
+    return float(a[0] + a[k] @ (np.exp(-2j * k * p.theta) * c.amplitudes[on]).real)
 
 
 def kpe_posterior_comb(n: int, tau1: float) -> DeltaComb:
@@ -352,7 +333,10 @@ def kpe_posterior_comb(n: int, tau1: float) -> DeltaComb:
 
     Real triangular weights 1 - |j|/2**n at frequencies 2**(-n+2) tau1 j
     for j in [-(2**n - 1), 2**n - 1], expressed in the rezeroed field
-    variable that absorbs the accumulated measurement phases.
+    variable that absorbs the accumulated measurement phases.  The weights
+    assume full contrast (T = infinity); at finite T each measurement's
+    contrast shrinks them, and :func:`comb_from_distribution` of the grid
+    posterior gives the comb instead.
     """
     if n < 1:
         raise ValueError(f"require n >= 1, got {n}")

@@ -113,7 +113,6 @@ class Trajectory:
 class EnsembleSummary:
     """Across-trial per-step means and stds (population std, ddof=0)."""
 
-    n_trials: int
     mean_entropy: np.ndarray
     std_entropy: np.ndarray
     mean_posterior_std: np.ndarray
@@ -211,7 +210,6 @@ def summarize(trajectories: list[Trajectory]) -> EnsembleSummary:
     ent = np.array([[r.posterior_entropy for r in t.records] for t in trajectories])
     std = np.array([[r.posterior_std for r in t.records] for t in trajectories])
     return EnsembleSummary(
-        n_trials=len(trajectories),
         mean_entropy=ent.mean(axis=0),
         std_entropy=ent.std(axis=0),
         mean_posterior_std=std.mean(axis=0),

@@ -79,7 +79,7 @@ class TestFieldGrid:
 
 class TestFieldDistribution:
     def test_rejects_negative_density(self):
-        dens = np.full(GRID.n_points, 1.0 / GRID.width)
+        dens = np.full(GRID.n_points, 1.0 / (GRID.b_max - GRID.b_min))
         dens[3] = -1e-6
         with pytest.raises(ValueError):
             FieldDistribution(GRID, dens)

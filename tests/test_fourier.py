@@ -10,13 +10,14 @@ from ramsey_sched.bayes import (
     binary_entropy,
     distribution_from_density,
     gaussian_distribution,
+    likelihood,
+    mutual_information,
     predictive_prob,
     uniform_distribution,
 )
 from ramsey_sched.fourier import (
     CONTRAST_SERIES_ERR,
     DeltaComb,
-    InsufficientSeries,
     TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
@@ -127,8 +128,6 @@ class TestMeasurementComb:
         # the (unnormalized) likelihood computed through the grid path
         p = RamseyParams(1.0, 1.3, 3.0)
         g = periodic_grid(8, 2.0 * p.tau, 2**14)
-        from ramsey_sched.bayes import likelihood
-
         vals = likelihood(0, g.points, p)
         d = distribution_from_density(g, vals)
         grid_comb = comb_from_distribution(d, [2.0 * p.tau])
@@ -331,12 +330,27 @@ class TestContrastEntropySeries:
             a[0] = 0.0
 
 
+def halving_posterior(n, coherence_time, seed):
+    """Posterior after n halving-schedule shots (tau 1, 1/2, ...) on a
+    uniform prior, on a grid two periods of the last shot's 2 tau wide,
+    and that last tau."""
+    tau_n = 2.0 ** (1 - n)
+    d = uniform_distribution(periodic_grid(2, tau_n, 2**14))
+    tau, theta = 1.0, 0.2
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x = int(rng.integers(0, 2))
+        d = bayes_update(d, RamseyParams(tau, theta, coherence_time), x)
+        tau, theta = 0.5 * tau, 0.5 * (theta + math.pi * x)
+    return d, tau_n
+
+
 class TestConditionalEntropyFromComb:
     def test_diffuse_comb_gives_profile_mean(self):
         c = DeltaComb(np.array([0.0]), np.array([1.0 + 0j]))
         a = alpha_series_quadrature(4)
         p = RamseyParams(1.3, 0.4)
-        assert conditional_entropy_from_comb(c, p, a) == pytest.approx(
+        assert conditional_entropy_from_comb(c, p) == pytest.approx(
             float(a[0])
         )
 
@@ -351,31 +365,43 @@ class TestConditionalEntropyFromComb:
         phi = th1 + math.pi * x1
         for theta in [phi / 2.0, 0.2, 2.2]:
             p = RamseyParams(tau1 / 2.0, theta)
-            got = conditional_entropy_from_comb(comb, p, a)
+            got = conditional_entropy_from_comb(comb, p)
             want = float(a[0]) + float(a[1]) * 0.5 * math.cos(
                 2.0 * theta - phi
             )
             assert got == pytest.approx(want, abs=1e-9)
-            # grid agreement
-            from ramsey_sched.bayes import likelihood
-
+            # grid agreement: on this window the trapezoid rule first
+            # aliases alpha_k at k = n_points - 1, |alpha_k| ~ 6e-14
             h_grid = g.integrate(binary_entropy(likelihood(0, g.points, p)) * d.density)
-            assert got == pytest.approx(h_grid, abs=1e-6)
+            assert got == pytest.approx(h_grid, abs=1e-12)
 
-    def test_finite_contrast_rejected(self):
-        # the coefficients are the full-contrast profile's: at T = 2 the
-        # series would give the T = inf value (0.53980), not the grid's 0.60593
-        tau1, th1, x1 = 1.0, 0.8, 1
-        g = periodic_grid(16, 2.0 * tau1, 2**14)
-        d = bayes_update(uniform_distribution(g), RamseyParams(tau1, th1), x1)
-        comb = comb_from_distribution(d, [2.0 * tau1 * k for k in range(1, 9)])
-        a = alpha_series_quadrature(16)
-        p = RamseyParams(0.5, 0.2, coherence_time=2.0)
-        with pytest.raises(ValueError, match=f"require full contrast, got contrast {p.contrast!r}"):
-            conditional_entropy_from_comb(comb, p, a)
-        # tau = 0 has contrast exactly 1 at any T
-        got = conditional_entropy_from_comb(comb, RamseyParams(0.0, 0.2, coherence_time=2.0), a)
-        assert got == pytest.approx(float(binary_entropy(0.5 * (1.0 + math.cos(0.2)))))
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_comb_mi_matches_grid_mi(self, n, coherence_time):
+        # the comb route H(X) - H(X|B) against the grid's MI at every
+        # contrast, for taus on the posterior's ladder (m odd: the next
+        # halving shot at m = 1), off it in part, and tau = 0
+        d, tau_n = halving_posterior(n, coherence_time, seed=n)
+        for m in [0, 1, 2, 3, 5]:
+            tau = 0.5 * m * tau_n
+            # 2 tau for the bias, and the ladder 4 tau k past the
+            # posterior's top frequency (2**n - 1) 2 tau_n
+            c = comb_from_distribution(d, [2.0 * tau * k for k in range(1, 2 ** (n + 1) + 1)])
+            for theta in [0.0, 0.7, 2.9]:
+                p = RamseyParams(tau, theta, coherence_time)
+                got = float(binary_entropy(0.5 + bias_from_comb(c, p))) - conditional_entropy_from_comb(c, p)
+                assert got == pytest.approx(mutual_information(d, p), abs=1e-10)
+
+    def test_contrast_zero_gives_ln2(self):
+        # exp(-tau/T) underflows to 0: the outcome is a fair coin at every
+        # field, even with peaks on the ladder at k = 1, 2
+        p = RamseyParams(800.0, 0.3, coherence_time=1.0)
+        assert p.contrast == 0.0
+        c = DeltaComb(
+            np.array([-6400.0, -3200.0, 0.0, 3200.0, 6400.0]),
+            np.array([0.2, 0.5 + 0.1j, 1.0, 0.5 - 0.1j, 0.2]),
+        )
+        assert conditional_entropy_from_comb(c, p) == pytest.approx(LN2, abs=1e-15)
 
     def test_off_comb_tau_gives_profile_mean(self):
         tau1 = 1.0
@@ -383,14 +409,20 @@ class TestConditionalEntropyFromComb:
         d = bayes_update(uniform_distribution(g), RamseyParams(tau1, 0.3), 0)
         comb = comb_from_distribution(d, [2.0 * tau1 * k for k in range(1, 5)])
         a = alpha_series_quadrature(8)
-        got = conditional_entropy_from_comb(comb, RamseyParams(tau1 / 3.0, 0.0), a)
+        got = conditional_entropy_from_comb(comb, RamseyParams(tau1 / 3.0, 0.0))
         assert got == pytest.approx(float(a[0]))
 
-    def test_insufficient_series(self):
-        c = kpe_posterior_comb(3, 1.0)
-        a = alpha_series_quadrature(2)
-        with pytest.raises(InsufficientSeries):
-            conditional_entropy_from_comb(c, RamseyParams(0.25 / 2.0, 0.0), a)
+    def test_high_order_ladder(self):
+        # the 7-shot halving comb measured at its next tau puts real weight
+        # 1 - k/128 on every ladder index k up to 127
+        n, spacing = 7, 2.0**-5
+        c = kpe_posterior_comb(n, 1.0)
+        a = alpha_series_quadrature(2**n - 1)
+        k = np.arange(1, 2**n)
+        for theta in [0.0, 0.4, 1.9]:
+            want = a[0] + np.sum(a[1:] * (1.0 - k / 2**n) * np.cos(2.0 * k * theta))
+            got = conditional_entropy_from_comb(c, RamseyParams(spacing / 4.0, theta))
+            assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestKpePosteriorComb:

@@ -208,7 +208,6 @@ class TestRunEnsemble:
         t = run_trial(cfg, 0)
         np.testing.assert_allclose(s.mean_entropy, [r.posterior_entropy for r in t.records])
         np.testing.assert_allclose(s.std_entropy, 0.0)
-        assert s.n_trials == 1
 
     def test_reproducible(self):
         cfg = _cfg("random", n_realizations=3)
