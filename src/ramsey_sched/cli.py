@@ -44,6 +44,7 @@ from .bayes import (
     mutual_information,
 )
 from .fourier import (
+    ALPHA_TERM_CAP,
     TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
@@ -283,6 +284,8 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     j_max = cfg["j_max"]
     if j_max < 1:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
+    if j_max > ALPHA_TERM_CAP - 10:
+        raise ConfigError(f"key 'j_max': require <= {ALPHA_TERM_CAP - 10}, got {j_max}")
     try:
         closed = alpha_series_closed(j_max)
     except TruncationNotConverged as exc:

@@ -45,6 +45,12 @@ PRUNE_TOL = 1e-12
 
 _SERIES_STOP = 1e-15
 _SERIES_CONVERGED = 1e-12
+# Default term cap of alpha_series_closed, which needs term_cap >= j_max + 10.
+ALPHA_TERM_CAP = 600_000
+
+# Terms per chunk of the closed series: its five 128 KB work buffers
+# stay in a 2 MB L2 cache.
+_SERIES_CHUNK = 2**14
 
 # Every value contrast_entropy_series returns is within this of the
 # exact one (the closed forms take a few correctly rounded operations on
@@ -210,21 +216,57 @@ def _closed_coefficient(j: int, term_cap: int) -> float:
     for m = j, j+1, ...  It changes sign once, at m = 2(j+1)^2, so the
     small-term stop rule only engages past that point; stopping at the
     zero crossing itself would silently drop the whole positive tail.
+
+    The terms are built in cache-sized chunks of ``_SERIES_CHUNK``, and
+    none past the chunk that holds the stop term.  For term_cap below
+    2**26 every factor -- (2m - 1) m / 2, m^2 - j^2, 2m (2m - 1),
+    m + j + 1 and m - 2(j+1)^2 -- is exact, so every ratio and term is
+    the same correctly rounded value as in one full-length pass; the
+    running product of the ratios carries from chunk to chunk, and the
+    sum is one ``np.sum`` over a prefix of one terms array, so the result
+    does not depend on the chunk size.
     """
-    m = np.arange(j, term_cap + 1, dtype=float)
-    ratios = (2.0 * m[:-1] + 1.0) * (m[:-1] + 1.0) / (2.0 * (m[:-1] + 1.0 + j) * (m[:-1] + 1.0 - j))
-    weights = np.empty_like(m)
-    weights[0] = 0.25**j
-    if len(m) > 1:
-        np.cumprod(ratios, out=weights[1:])
-        weights[1:] *= weights[0]
-    terms = weights * (m - 2.0 * (j + 1) ** 2) / (2.0 * m * (2.0 * m - 1.0) * (m + j + 1.0))
+    n = term_cap - j + 1
+    terms = np.empty(n)
+    scale = 0.25**j
     sign_flip = 2.0 * (j + 1) ** 2
-    stoppable = (np.abs(terms) < _SERIES_STOP) & (m > sign_flip)
-    if stoppable.any():
-        stop = int(np.argmax(stoppable))
+    first_stoppable = int(sign_flip) + 1 - j  # index of the first m > sign_flip
+    size = min(n, _SERIES_CHUNK)
+    index = np.arange(size, dtype=float)
+    m, h, w, d = (np.empty(size) for _ in range(4))
+    carry = 1.0  # product of the ratios before this chunk
+    for lo in range(0, n, _SERIES_CHUNK):
+        k = min(size, n - lo)
+        mk, hk, wk, dk, tk = m[:k], h[:k], w[:k], d[:k], terms[lo : lo + k]
+        np.add(index[:k], j + lo, out=mk)
+        # weight(m) / weight(m - 1) = ((2m - 1) m / 2) / (m^2 - j^2)
+        np.subtract(mk, 0.5, out=hk)
+        hk *= mk
+        np.multiply(mk, mk, out=dk)
+        dk -= j * j
+        if lo == 0:
+            dk[0] = hk[0]  # m = j has no ratio: its weight is scale itself
+        np.divide(hk, dk, out=wk)
+        wk[0] *= carry
+        np.multiply.accumulate(wk, out=wk)
+        carry = wk[-1]
+        wk *= scale
+        # term = weight (m - sign_flip) / (2m (2m - 1) (m + j + 1))
+        np.subtract(mk, sign_flip, out=dk)
+        wk *= dk
+        np.multiply(hk, 4.0, out=dk)
+        np.add(mk, j + 1, out=tk)
+        dk *= tk
+        np.divide(wk, dk, out=tk)
+        skip = max(first_stoppable - lo, 0)
+        if skip < k:
+            small = np.abs(tk[skip:]) < _SERIES_STOP
+            i = int(np.argmax(small))
+            if small[i]:
+                stop = lo + skip + i
+                break
     else:
-        stop = len(terms) - 1
+        stop = n - 1
         if abs(terms[stop]) > _SERIES_CONVERGED:
             raise TruncationNotConverged(
                 f"coefficient {j}: last term {terms[stop]:.3e} after {term_cap} terms"
@@ -232,7 +274,7 @@ def _closed_coefficient(j: int, term_cap: int) -> float:
     return float(np.sum(terms[: stop + 1]))
 
 
-def alpha_series_closed(j_max: int, term_cap: int = 600_000) -> np.ndarray:
+def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarray:
     """Coefficients alpha_0..alpha_j_max from the closed binomial-sum series.
 
     Returns a read-only array laid out as :func:`alpha_series_quadrature`'s.

@@ -334,6 +334,30 @@ class TestValidateAlpha:
             assert float(closed) < 0.0
             assert float(diff) < 1e-8
 
+    @pytest.mark.parametrize(
+        "j_max, limit", [(0, ">= 1"), (599_991, "<= 599990"), (599_995, "<= 599990")]
+    )
+    def test_j_max_out_of_range_is_config_error(
+        self, tmp_path, capsys, monkeypatch, j_max, limit
+    ):
+        def must_not_run(*args):
+            raise AssertionError("the series ran for an out-of-range j_max")
+
+        monkeypatch.setattr(cli, "alpha_series_closed", must_not_run)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", str(j_max)]) == 2
+        assert capsys.readouterr().err == f"config error: key 'j_max': require {limit}, got {j_max}\n"
+        assert not list(out.iterdir())
+
+    def test_j_max_at_limit_reaches_the_series(self, tmp_path, capsys, monkeypatch):
+        def unconverged(j_max):
+            raise TruncationNotConverged(f"stub series called with j_max {j_max}")
+
+        monkeypatch.setattr(cli, "alpha_series_closed", unconverged)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "599990"]) == 1
+        assert capsys.readouterr().err == "validate-alpha: stub series called with j_max 599990\n"
+
     def test_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def unconverged(j_max):
             raise TruncationNotConverged("coefficient 1: last term 2.000e-12 after 600000 terms")

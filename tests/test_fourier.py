@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ramsey_sched import fourier
 from ramsey_sched.bayes import (
     FieldGrid,
     RamseyParams,
@@ -16,6 +17,7 @@ from ramsey_sched.bayes import (
     uniform_distribution,
 )
 from ramsey_sched.fourier import (
+    ALPHA_TERM_CAP,
     CONTRAST_SERIES_ERR,
     DeltaComb,
     TruncationNotConverged,
@@ -229,6 +231,118 @@ class TestAlphaSeries:
     def test_term_cap_precondition(self):
         with pytest.raises(ValueError):
             alpha_series_closed(32, term_cap=20)
+
+
+def _one_shot_closed(j, term_cap):
+    """The closed coefficient j summed in one full-length pass, and its stop index.
+
+    The oracle of the chunked ``fourier._closed_coefficient``, which must
+    return the same float and raise the same message.
+    """
+    m = np.arange(j, term_cap + 1, dtype=float)
+    ratios = (2.0 * m[:-1] + 1.0) * (m[:-1] + 1.0) / (2.0 * (m[:-1] + 1.0 + j) * (m[:-1] + 1.0 - j))
+    weights = np.empty_like(m)
+    weights[0] = 0.25**j
+    if len(m) > 1:
+        np.cumprod(ratios, out=weights[1:])
+        weights[1:] *= weights[0]
+    terms = weights * (m - 2.0 * (j + 1) ** 2) / (2.0 * m * (2.0 * m - 1.0) * (m + j + 1.0))
+    sign_flip = 2.0 * (j + 1) ** 2
+    stoppable = (np.abs(terms) < 1e-15) & (m > sign_flip)
+    if stoppable.any():
+        stop = int(np.argmax(stoppable))
+    else:
+        stop = len(terms) - 1
+        if abs(terms[stop]) > 1e-12:
+            raise TruncationNotConverged(
+                f"coefficient {j}: last term {terms[stop]:.3e} after {term_cap} terms"
+            )
+    return float(np.sum(terms[: stop + 1])), stop
+
+
+def _one_shot_coefficient(j, term_cap):
+    return _one_shot_closed(j, term_cap)[0]
+
+
+def _outcome(coefficient, j, term_cap):
+    """float.hex of a closed coefficient, or the message it raised."""
+    try:
+        return float(coefficient(j, term_cap)).hex()
+    except TruncationNotConverged as exc:
+        return f"raised: {exc}"
+
+
+CHUNK = fourier._SERIES_CHUNK
+
+# j = 1 at the default cap stops at term 456816 = 16 * 28551
+J1_STOP = 456_816
+
+
+class TestChunkedClosedSeries:
+    @pytest.fixture(scope="class")
+    def one_shot(self):
+        return {j: _one_shot_closed(j, ALPHA_TERM_CAP)[0] for j in range(1, 41)}
+
+    @pytest.mark.parametrize("j_max", [1, 4, 32, 40])
+    def test_default_cap_bit_identical(self, one_shot, j_max):
+        got = alpha_series_closed(j_max)
+        assert [float(v).hex() for v in got[1:]] == [
+            one_shot[j].hex() for j in range(1, j_max + 1)
+        ]
+
+    @pytest.mark.parametrize(
+        "j, term_cap",
+        [
+            # stop term in the first chunk: from j = 69 on, the first term
+            # past the sign change is already below the stop threshold
+            (80, ALPHA_TERM_CAP),
+            (4, 50),
+            (32, 5_000),
+            # last term on a chunk edge: the last of chunk 1, then alone in chunk 2
+            (1, 2 * CHUNK),
+            (1, 2 * CHUNK + 1),
+            (4, 3 * CHUNK + 3),
+            (4, 3 * CHUNK + 4),
+            # one below and one above a multiple of the chunk size
+            (1, 2 * CHUNK - 1),
+            (4, 3 * CHUNK - 1),
+            (4, 3 * CHUNK + 1),
+            (32, CHUNK - 1),
+            (32, CHUNK + 1),
+        ],
+    )
+    def test_term_cap_bit_identical(self, j, term_cap):
+        expected = _outcome(_one_shot_coefficient, j, term_cap)
+        assert _outcome(fourier._closed_coefficient, j, term_cap) == expected
+
+    def test_j1_stop_index(self):
+        assert _one_shot_closed(1, ALPHA_TERM_CAP)[1] == J1_STOP
+
+    @pytest.mark.parametrize(
+        "chunk, j, term_cap",
+        [
+            (7, 32, 5_000),
+            (7, 4, 50),
+            (J1_STOP // 16, 1, ALPHA_TERM_CAP),  # stop term first in chunk 16
+            (J1_STOP, 1, ALPHA_TERM_CAP),  # stop term first in chunk 1
+            (J1_STOP + 1, 1, ALPHA_TERM_CAP),  # stop term last in chunk 0
+        ],
+    )
+    def test_chunk_size_does_not_change_result(self, monkeypatch, chunk, j, term_cap):
+        expected = _outcome(_one_shot_coefficient, j, term_cap)
+        monkeypatch.setattr(fourier, "_SERIES_CHUNK", chunk)
+        assert _outcome(fourier._closed_coefficient, j, term_cap) == expected
+
+    @pytest.mark.parametrize("term_cap", [50, 1_000, 20_000])
+    def test_truncation_message_identical(self, term_cap):
+        with pytest.raises(TruncationNotConverged) as one_shot:
+            _one_shot_closed(1, term_cap)
+        with pytest.raises(TruncationNotConverged) as chunked:
+            alpha_series_closed(4, term_cap=term_cap)
+        assert str(chunked.value) == str(one_shot.value)
+        for j in (2, 4, 32):
+            expected = _outcome(_one_shot_coefficient, j, term_cap)
+            assert _outcome(fourier._closed_coefficient, j, term_cap) == expected
 
 
 CONTRASTS = [0.3, 0.9, 0.999, 1.0]
