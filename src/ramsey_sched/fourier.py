@@ -213,9 +213,12 @@ def _closed_coefficient(j: int, term_cap: int) -> float:
     """Binomial-sum form of coefficient j >= 1.
 
     The summand is C(2m, m+j) 4^{-m} (m - 2(j+1)^2) / (2m(2m-1)(m+j+1))
-    for m = j, j+1, ...  It changes sign once, at m = 2(j+1)^2, so the
-    small-term stop rule only engages past that point; stopping at the
-    zero crossing itself would silently drop the whole positive tail.
+    for m = j, j+1, ...  It changes sign once, at m = 2(j+1)^2, and is
+    small near that crossing only because it passes through zero: from
+    j = 69 on, the first term past it is already below the stop
+    threshold, and stopping there would drop the whole positive tail.  So
+    the small-term stop rule only engages past m = 4(j+1)^2, twice the
+    sign change, and a cap that ends before that raises.
 
     The terms are built in cache-sized chunks of ``_SERIES_CHUNK``, and
     none past the chunk that holds the stop term.  For term_cap below
@@ -226,11 +229,17 @@ def _closed_coefficient(j: int, term_cap: int) -> float:
     sum is one ``np.sum`` over a prefix of one terms array, so the result
     does not depend on the chunk size.
     """
+    sign_flip = 2.0 * (j + 1) ** 2
+    stop_from = 4 * (j + 1) ** 2  # the stop rule engages only past this m
+    if term_cap <= stop_from:
+        raise TruncationNotConverged(
+            f"coefficient {j}: term cap {term_cap} ends before the stop rule starts"
+            f" past m = {stop_from}"
+        )
     n = term_cap - j + 1
     terms = np.empty(n)
     scale = 0.25**j
-    sign_flip = 2.0 * (j + 1) ** 2
-    first_stoppable = int(sign_flip) + 1 - j  # index of the first m > sign_flip
+    first_stoppable = stop_from + 1 - j  # index of the first m > stop_from
     size = min(n, _SERIES_CHUNK)
     index = np.arange(size, dtype=float)
     m, h, w, d = (np.empty(size) for _ in range(4))
@@ -283,8 +292,9 @@ def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarra
     m**-2.5, so the default cap keeps the truncation error below 1e-9.
 
     Raises:
-        TruncationNotConverged: a coefficient's last summed term still
-            exceeded 1e-12 at the cap.
+        TruncationNotConverged: a coefficient's series ended at the cap
+            before the stop rule could start (past m = 4(j+1)^2), or its
+            last summed term still exceeded 1e-12 at the cap.
     """
     if j_max < 0:
         raise ValueError(f"require j_max >= 0, got {j_max}")

@@ -20,11 +20,17 @@ cell by cell, up to float roundoff:
 - On an even theta grid only the thetas below pi are scored and their
   columns are copied to theta + pi; an odd grid has no such partners and
   is scored in full.
-- With q the trapezoid-weighted posterior, C = exp(-tau/T) and the cached
+- With q the trapezoid-weighted posterior, C = exp(-tau/T) and
   c, s = cos, sin(2 tau b), every outcome moment sum_b w(b) l0(b) is
   w.1/2 + (C/2)(cos(theta) w.c - sin(theta) w.s).  The predictive
   probability takes w = q; the variance objective takes w = q, q b, q b^2
-  and needs no theta x N block at all.
+  and needs no theta x N block at all: its w.c and w.s for every tau are
+  one matrix product with the harmonic table.
+- The harmonic table (``_harmonic_table``) holds c, s, cos 4 tau b and
+  sin 4 tau b for every tau of the search grid, shape (4, tau, N), the
+  last two as the double-angle products c^2 - s^2 and 2 c s.  It does
+  not depend on the posterior or on T, so it is built once per grid and
+  tau search grid, one grid row at a time, and shared by every scorer.
 - The MI kernel still needs the pointwise outcome entropy h(l0) over a
   theta x N block, built in three buffers allocated once per call.  The
   block does not depend on the posterior, so the kernel takes a sequence
@@ -53,8 +59,9 @@ with the a_j in closed form (``fourier.contrast_entropy_series``).  Each
 power of cos phi expands into cosines with positive weights, so a_j(C)
 < 0 for every j >= 1 at every C <= 1: the paper's sign claim for the
 full-contrast alpha_j carries over to finite T.  With the moments
-M_j = sum_b q(b) exp(4 i j tau b), formed from the cached c + is by
-turning it through 4 tau b at a time,
+M_j = sum_b q(b) exp(4 i j tau b), where M_1 and q against c + is come
+from one product with the harmonic table and the higher j turn the
+table's cos + i sin 4 tau b through 4 tau b at a time,
 
     H(X|B) = a_0 q0 + sum_{j>=1} a_j Re[exp(2 i j theta) M_j].
 
@@ -198,15 +205,35 @@ def theta_search_grid(cfg: PolicyConfig) -> np.ndarray:
     return np.arange(cfg.theta_grid_size) * (TWO_PI / cfg.theta_grid_size)
 
 
-@lru_cache(maxsize=256)
-def _tau_trig(grid: FieldGrid, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    # cos/sin of 2 tau b on the grid; cached because the search grid taus
-    # repeat every policy call while the posterior changes.
-    c = np.cos(2.0 * tau * grid.points)
-    s = np.sin(2.0 * tau * grid.points)
-    c.flags.writeable = False
-    s.flags.writeable = False
-    return c, s
+@lru_cache(maxsize=4)
+def _build_harmonic_table(grid: FieldGrid, tau_min: float, tau_max: float, tau_grid_size: int) -> np.ndarray:
+    taus = np.geomspace(tau_min, tau_max, tau_grid_size)  # tau_search_grid's taus
+    table = np.empty((4, tau_grid_size, grid.n_points))
+    c, s, c2, s2 = table
+    # one grid row at a time, through out=, so that no temporary is larger
+    # than a row: freed large temporaries move glibc's mmap threshold
+    for i, tau in enumerate(taus.tolist()):
+        np.multiply(2.0 * tau, grid.points, out=c2[i])
+        np.cos(c2[i], out=c[i])
+        np.sin(c2[i], out=s[i])
+        np.multiply(c[i], c[i], out=c2[i])
+        c2[i] -= s[i] * s[i]
+        np.multiply(c[i], s[i], out=s2[i])
+        s2[i] *= 2.0
+    table.flags.writeable = False
+    return table
+
+
+def _harmonic_table(grid: FieldGrid, cfg: PolicyConfig) -> np.ndarray:
+    """Read-only (4, tau, grid point) table of cos 2 tau b, sin 2 tau b,
+    cos 4 tau b and sin 4 tau b over the tau search grid.
+
+    The last two are the double-angle products of the first two.  The
+    table does not depend on the posterior, so it is cached per grid and
+    tau search grid; the key leaves out ``kind`` and ``coherence_time``,
+    so both greedy policies share one table.
+    """
+    return _build_harmonic_table(grid, cfg.tau_min, cfg.tau_max, cfg.tau_grid_size)
 
 
 def _scored_theta_count(cfg: PolicyConfig) -> int:
@@ -253,6 +280,7 @@ def _mi_matrix(
         need = np.ones((len(ds), len(taus)), dtype=bool)
     n_theta = _scored_theta_count(cfg)
     thetas = theta_search_grid(cfg)[:n_theta]
+    table = _harmonic_table(grid, cfg)
     qs = [grid.trapz_weights * d.density for d in ds]
     q0s = [float(q.sum()) for q in qs]
     cos_t = np.cos(thetas)
@@ -261,11 +289,9 @@ def _mi_matrix(
     l1 = np.empty_like(l0)
     xlx = np.empty_like(l0)
     out = np.full((len(ds), len(taus), n_theta), -np.inf)
-    for i, tau in enumerate(taus):
-        if not need[:, i].any():
-            continue
-        c, s = _tau_trig(grid, float(tau))
-        half_c = 0.5 * math.exp(-tau / cfg.coherence_time)
+    for i in np.flatnonzero(need.any(axis=0)):
+        c, s = table[0, i], table[1, i]
+        half_c = 0.5 * math.exp(-taus[i] / cfg.coherence_time)
         np.multiply(cos_t[:, None], c, out=l0)
         np.multiply(sin_t[:, None], s, out=l1)
         np.subtract(l0, l1, out=l0)
@@ -291,47 +317,49 @@ def _mi_matrix(
     return _full_theta(out, cfg)
 
 
-def _fill_harmonics(grid: FieldGrid, tau: float, trig: np.ndarray) -> None:
-    """Fill the rows of ``trig`` with c, s and then cos, sin of 4 j tau b
-    for j = 1, 2, ..., each pair the previous one turned by 4 tau b."""
-    c, s = _tau_trig(grid, tau)
-    trig[0] = c
-    trig[1] = s
-    np.multiply(c, c, out=trig[2])
-    trig[2] -= s * s
-    np.multiply(c, s, out=trig[3])
-    trig[3] *= 2.0
-    for k in range(4, len(trig), 2):
-        np.multiply(trig[k - 2], trig[2], out=trig[k])
-        trig[k] -= trig[k - 1] * trig[3]
-        np.multiply(trig[k - 2], trig[3], out=trig[k + 1])
-        trig[k + 1] += trig[k - 1] * trig[2]
-
-
 def _screen(
-    ds: Sequence[FieldDistribution], cfg: PolicyConfig, taus: np.ndarray, k: int
+    ds: Sequence[FieldDistribution], cfg: PolicyConfig, rows: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form bound and k-term Fourier estimates (k >= 1) of the MI
-    in the rows of the given taus, from one pass over their 2k + 2
-    harmonic moments (see the module docstring).
+    in the given tau rows (indices into the tau search grid), from their
+    2k + 2 harmonic moments (see the module docstring).
 
-    Returns ``bound``, (posterior, tau), the largest of the row's cell
-    bounds; ``est``, (posterior, tau, scored theta); and ``width``,
-    (posterior, tau): each exact score lies within ``width`` plus rounding
+    The first four moments, q against the harmonic table, come from one
+    product over the table's rows from the first given row to the last
+    (the whole table when every row is given); only the harmonics of
+    4 j tau b for j >= 2 are built, per row, each pair the previous one
+    turned by 4 tau b, starting from the table's cos, sin 4 tau b.
+
+    Returns ``bound``, (posterior, row), the largest of the row's cell
+    bounds; ``est``, (posterior, row, scored theta); and ``width``,
+    (posterior, row): each exact score lies within ``width`` plus rounding
     (below ``_BOUND_MARGIN``) of its estimate.
     """
     grid = _shared_grid(ds)
+    table = _harmonic_table(grid, cfg)
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
     qs = np.stack([grid.trapz_weights * d.density for d in ds])
-    contrast = np.exp(-taus / cfg.coherence_time)
-    trig = np.empty((2 * k + 2, grid.n_points))
-    moments = np.empty((2 * k + 2, len(ds), len(taus)))
-    a = np.empty((k + 1, len(taus)))
-    tail = np.empty(len(taus))
-    for i, tau in enumerate(taus.tolist()):
-        _fill_harmonics(grid, tau, trig)
-        moments[:, :, i] = trig @ qs.T
-        a[:, i], tail[i] = contrast_entropy_series(float(contrast[i]), k)
+    contrast = np.exp(-tau_search_grid(cfg)[rows] / cfg.coherence_time)
+    moments = np.empty((2 * k + 2, len(ds), len(rows)))
+    # the product takes a view, so no table rows are copied out
+    lo = int(rows.min())
+    head = np.matmul(table[:, lo : int(rows.max()) + 1], qs.T)
+    moments[:4] = head[:, rows - lo].transpose(0, 2, 1)
+    if k > 1:
+        # the moments of 4 j tau b for j >= 2, row by row
+        harm = np.empty((2 * k - 2, grid.n_points))
+        for n, i in enumerate(rows.tolist()):
+            prev_c, prev_s = c2, s2 = table[2, i], table[3, i]
+            for m in range(0, len(harm), 2):
+                np.multiply(prev_c, c2, out=harm[m])
+                harm[m] -= prev_s * s2
+                np.multiply(prev_c, s2, out=harm[m + 1])
+                harm[m + 1] += prev_s * c2
+                prev_c, prev_s = harm[m], harm[m + 1]
+            moments[4:, :, n] = harm @ qs.T
+    coeffs, tails = zip(*(contrast_entropy_series(float(c), k) for c in contrast))
+    a = np.stack(coeffs, axis=1)
+    tail = np.array(tails)
     # every array below is (posterior, tau, theta); re puts j = 1..k first
     q_c, q_s = moments[:2, :, :, None]
     q0 = qs.sum(axis=1)[:, None, None]
@@ -369,9 +397,9 @@ def _expected_variance_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.nda
     qb = q * b
     w = np.stack((q, qb, qb * b))
     tot = w.sum(axis=1)[:, None, None]
-    trig = [_tau_trig(d.grid, float(tau)) for tau in taus]
-    wc = np.stack([w @ c for c, _ in trig], axis=1)[:, :, None]
-    ws = np.stack([w @ s for _, s in trig], axis=1)[:, :, None]
+    # w against c and s of every tau in one product: wc[k, i] = w_k . c_i
+    cs = _harmonic_table(d.grid, cfg)[:2].reshape(-1, d.grid.n_points)
+    wc, ws = (cs @ w.T).reshape(2, len(taus), 3).transpose(0, 2, 1)[..., None]
     half_c = np.array([0.5 * math.exp(-tau / cfg.coherence_time) for tau in taus])[:, None]
     # moments[k, i, j] = sum_b w_k(b) l0(b; tau_i, theta_j)
     moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
@@ -441,14 +469,14 @@ def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[R
     matrix.
     """
     taus = tau_search_grid(cfg)
-    bound, est, width = _screen(ds, cfg, taus, 1)
+    bound, est, width = _screen(ds, cfg, np.arange(len(taus)), 1)
     best = est.max(axis=2)
     lower = best - width - _BOUND_MARGIN
     upper = np.minimum(bound, best + width)
     screened = np.zeros(len(taus), dtype=bool)
     rows = np.unique(upper.argmax(axis=1))
     while rows.size:
-        _, est, width = _screen(ds, cfg, taus[rows], _SCREEN_TERMS)
+        _, est, width = _screen(ds, cfg, rows, _SCREEN_TERMS)
         best = est.max(axis=2)
         lower[:, rows] = np.maximum(lower[:, rows], best - width - _BOUND_MARGIN)
         upper[:, rows] = np.minimum(upper[:, rows], best + width)

@@ -334,6 +334,14 @@ class TestValidateAlpha:
             assert float(closed) < 0.0
             assert float(diff) < 1e-8
 
+    def test_passes_past_j_68(self, tmp_path):
+        # from j = 69 on the first term past the sign change is below the
+        # stop threshold; the series must still sum its positive tail
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "70"]) == 0
+        rows = (out / "alpha_validation.csv").read_text().splitlines()[-2:]
+        assert [float(r.split(",")[3]) < 1e-9 for r in rows] == [True, True]
+
     @pytest.mark.parametrize(
         "j_max, limit", [(0, ">= 1"), (599_991, "<= 599990"), (599_995, "<= 599990")]
     )

@@ -233,12 +233,8 @@ class TestAlphaSeries:
             alpha_series_closed(32, term_cap=20)
 
 
-def _one_shot_closed(j, term_cap):
-    """The closed coefficient j summed in one full-length pass, and its stop index.
-
-    The oracle of the chunked ``fourier._closed_coefficient``, which must
-    return the same float and raise the same message.
-    """
+def _one_shot_terms(j, term_cap):
+    """m = j..term_cap and the closed series' terms, in one full-length pass."""
     m = np.arange(j, term_cap + 1, dtype=float)
     ratios = (2.0 * m[:-1] + 1.0) * (m[:-1] + 1.0) / (2.0 * (m[:-1] + 1.0 + j) * (m[:-1] + 1.0 - j))
     weights = np.empty_like(m)
@@ -246,9 +242,24 @@ def _one_shot_closed(j, term_cap):
     if len(m) > 1:
         np.cumprod(ratios, out=weights[1:])
         weights[1:] *= weights[0]
-    terms = weights * (m - 2.0 * (j + 1) ** 2) / (2.0 * m * (2.0 * m - 1.0) * (m + j + 1.0))
-    sign_flip = 2.0 * (j + 1) ** 2
-    stoppable = (np.abs(terms) < 1e-15) & (m > sign_flip)
+    return m, weights * (m - 2.0 * (j + 1) ** 2) / (2.0 * m * (2.0 * m - 1.0) * (m + j + 1.0))
+
+
+def _one_shot_closed(j, term_cap):
+    """The closed coefficient j summed in one full-length pass, and its stop index.
+
+    The oracle of the chunked ``fourier._closed_coefficient``, which must
+    return the same float and raise the same message.  The stop rule
+    starts only past m = 4(j+1)^2, twice the sign change.
+    """
+    stop_from = 4 * (j + 1) ** 2
+    if term_cap <= stop_from:
+        raise TruncationNotConverged(
+            f"coefficient {j}: term cap {term_cap} ends before the stop rule starts"
+            f" past m = {stop_from}"
+        )
+    m, terms = _one_shot_terms(j, term_cap)
+    stoppable = (np.abs(terms) < 1e-15) & (m > stop_from)
     if stoppable.any():
         stop = int(np.argmax(stoppable))
     else:
@@ -293,10 +304,13 @@ class TestChunkedClosedSeries:
     @pytest.mark.parametrize(
         "j, term_cap",
         [
-            # stop term in the first chunk: from j = 69 on, the first term
-            # past the sign change is already below the stop threshold
+            # from j = 69 on, the first term past the sign change is
+            # already below the stop threshold; a cap that ends before the
+            # stop rule starts raises
             (80, ALPHA_TERM_CAP),
             (4, 50),
+            (4, 100),
+            (4, 101),
             (32, 5_000),
             # last term on a chunk edge: the last of chunk 1, then alone in chunk 2
             (1, 2 * CHUNK),
@@ -317,6 +331,24 @@ class TestChunkedClosedSeries:
 
     def test_j1_stop_index(self):
         assert _one_shot_closed(1, ALPHA_TERM_CAP)[1] == J1_STOP
+
+    @pytest.mark.parametrize("j", [1, 32, 40, 68, 69, 72])
+    def test_stop_rule_starts_past_twice_the_sign_change(self, j):
+        # up to j = 68 no term between the sign change and twice it is
+        # below the stop threshold, so starting the rule at either point
+        # stops at the same term and leaves the values as they were; from
+        # j = 69 on one is, and stopping there dropped the positive tail
+        m, terms = _one_shot_terms(j, ALPHA_TERM_CAP)
+        between = (m > 2 * (j + 1) ** 2) & (m <= 4 * (j + 1) ** 2)
+        assert np.any(np.abs(terms[between]) < 1e-15) == (j >= 69)
+        exact = alpha_series_quadrature(j)[j]
+        assert abs(fourier._closed_coefficient(j, ALPHA_TERM_CAP) - exact) < 1e-9
+
+    def test_cap_before_the_stop_rule_raises(self):
+        # the cap ends at m = 50, the sign change of j = 4, where the term
+        # is 0 and the sum is 2.3% off
+        with pytest.raises(TruncationNotConverged, match="before the stop rule starts past m = 100"):
+            fourier._closed_coefficient(4, 50)
 
     @pytest.mark.parametrize(
         "chunk, j, term_cap",

@@ -25,6 +25,7 @@ from ramsey_sched.policies import (
     PolicyState,
     _best_cell,
     _expected_variance_matrix,
+    _harmonic_table,
     _mi_matrix,
     _screen,
     compare_kpe_to_myopic,
@@ -478,7 +479,7 @@ def _assert_screen_covers(ds, cfg):
     # returns the k = _SCREEN_TERMS bound and error bars
     exact = _mi_matrix(ds, cfg)
     for k in (1, _SCREEN_TERMS):
-        bound, est, width = _screen(ds, cfg, tau_search_grid(cfg), k)
+        bound, est, width = _screen(ds, cfg, np.arange(cfg.tau_grid_size), k)
         assert bound.shape == width.shape == (len(ds), cfg.tau_grid_size)
         assert np.all(bound >= exact.max(axis=2) - _BOUND_MARGIN)
         assert np.all(np.abs(exact[:, :, : est.shape[2]] - est) <= width[:, :, None] + _BOUND_MARGIN)
@@ -528,7 +529,7 @@ class TestBoundPrunedChoice:
                 full = _mi_matrix([d], cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
-                bounds = _screen([d], cfg, tau_search_grid(cfg), 1)[0][0]
+                bounds = _screen([d], cfg, np.arange(cfg.tau_grid_size), 1)[0][0]
                 kept.append(np.mean(bounds >= full.max() - TIE_TOL - _BOUND_MARGIN))
         # the bound rules out most rows (the point of pruning)
         assert np.mean(kept) < 0.5
@@ -624,6 +625,75 @@ class TestFourierScreen:
         # rules out little
         assert np.mean(built) < 0.25
         assert sum(screened) / len(built) < (0.45 if math.isinf(coherence_time) else 0.3)
+
+
+def _per_tau_variance_matrix(d, cfg):
+    """The expected-variance kernel with one vector product per tau and
+    trig function, on cos and sin taken afresh: the reference for the
+    kernel's one product with the harmonic table."""
+    taus = tau_search_grid(cfg)
+    thetas = theta_search_grid(cfg)[: policies._scored_theta_count(cfg)]
+    b = d.grid.points
+    q = d.grid.trapz_weights * d.density
+    qb = q * b
+    w = np.stack((q, qb, qb * b))
+    tot = w.sum(axis=1)[:, None, None]
+    trig = [(np.cos(2.0 * tau * b), np.sin(2.0 * tau * b)) for tau in taus.tolist()]
+    wc = np.stack([w @ c for c, _ in trig], axis=1)[:, :, None]
+    ws = np.stack([w @ s for _, s in trig], axis=1)[:, :, None]
+    half_c = np.array([0.5 * math.exp(-tau / cfg.coherence_time) for tau in taus])[:, None]
+    moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
+    out = np.zeros((len(taus), len(thetas)))
+    for m0, m1, m2 in (moments, tot - moments):
+        ok = m0 > policies._EV_MASS_FLOOR
+        mm = np.where(ok, m0, 1.0)
+        var = np.maximum(m2 / mm - (m1 / mm) ** 2, 0.0)
+        out += np.where(ok, m0 * var, 0.0)
+    return policies._full_theta(out, cfg)
+
+
+class TestHarmonicTable:
+    def test_rows_are_cos_sin_and_their_double_angles(self):
+        cfg = PolicyConfig()
+        table = _harmonic_table(GRID, cfg)
+        assert table.shape == (4, cfg.tau_grid_size, GRID.n_points)
+        for i, tau in enumerate(tau_search_grid(cfg).tolist()):
+            c = np.cos(2.0 * tau * GRID.points)
+            s = np.sin(2.0 * tau * GRID.points)
+            assert table[0, i].tobytes() == c.tobytes()
+            assert table[1, i].tobytes() == s.tobytes()
+            assert table[2, i].tobytes() == (c * c - s * s).tobytes()
+            assert table[3, i].tobytes() == (c * s * 2.0).tobytes()
+
+    def test_read_only(self):
+        table = _harmonic_table(GRID, SMALL_CFG)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 0.0
+
+    def test_shared_by_kind_and_coherence_time(self):
+        variance = replace(SMALL_CFG, kind="variance_min", coherence_time=10.0)
+        myopic = replace(SMALL_CFG, kind="myopic_entropy", coherence_time=math.inf)
+        assert _harmonic_table(GRID, variance) is _harmonic_table(GRID, myopic)
+        other = replace(SMALL_CFG, tau_grid_size=SMALL_CFG.tau_grid_size + 1)
+        assert _harmonic_table(GRID, other).shape[1] == SMALL_CFG.tau_grid_size + 1
+
+    @pytest.mark.parametrize("theta_grid_size", [16, 9])
+    @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
+    def test_variance_choice_equals_per_tau_kernel(self, coherence_time, theta_grid_size):
+        cfg = PolicyConfig(
+            kind="variance_min", tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        # the two kernels sum the same products in another order: each
+        # moment w_k . c is within N eps of sum |w_k|, and w_2 carries b^2
+        tol = GRID.n_points * np.finfo(float).eps * GRID.b_max**2
+        for seed in range(3):
+            for d in _myopic_trajectory(GRID, replace(cfg, kind="myopic_entropy"), seed, 10):
+                oracle = _per_tau_variance_matrix(d, cfg)
+                np.testing.assert_allclose(_expected_variance_matrix(d, cfg), oracle, rtol=0.0, atol=tol)
+                p = next_params_variance_min(_state(d), cfg)
+                assert (p.tau, p.theta) == _best_cell(-oracle, cfg)
 
 
 class TestPinnedMyopicCells:
