@@ -284,8 +284,10 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     j_max = cfg["j_max"]
     if j_max < 1:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
-    if j_max > ALPHA_TERM_CAP - 10:
-        raise ConfigError(f"key 'j_max': require <= {ALPHA_TERM_CAP - 10}, got {j_max}")
+    # coefficient j's series stops only past m = 4(j+1)^2, inside the term cap
+    j_limit = math.isqrt((ALPHA_TERM_CAP - 1) // 4) - 1
+    if j_max > j_limit:
+        raise ConfigError(f"key 'j_max': require <= {j_limit}, got {j_max}")
     try:
         closed = alpha_series_closed(j_max)
     except TruncationNotConverged as exc:

@@ -87,20 +87,21 @@ The same moments give each cell's MI two closed-form upper bounds:
 The trapezoid weights are positive, so both hold on the grid, not only
 in the continuum, and both need only M_1 and q against c and s: the
 moments of a k = 1 screen.  So one pass (``_screen``) gives every row
-its bound and a k = 1 estimate.  A row's upper value is the smaller of
-its bound and its upper estimate, and the cutoff is the best lower
+its bound and a k = 1 estimate.  A cell's upper value is the smaller of
+its row's bound and its upper estimate, and the cutoff is the best lower
 estimate less ``TIE_TOL`` less ``_BOUND_MARGIN``.  The chooser runs the
 k = 1 pass over all rows, screens at K terms each posterior's row of
-highest upper value, then every row whose upper value still reaches the
-cutoff, and builds a row only if its upper value reaches the final
-cutoff.  The
+highest upper value, then every row where some cell's upper value still
+reaches the cutoff, and builds a cell only if its upper value reaches
+the final cutoff.  The
 margin is needed because the bounds are tight where every likelihood is
 0, 1/2 or 1 (a posterior on one grid point, or a contrast near 0): there
 the bound and the exact score agree to rounding, and the bound can come
-out 1e-16 below.  Only whole rows are skipped: a kept row is built by
-the same block product as in the full matrix, so its scores, and the
-chosen cell, are bit-identical (block products over 1 or 2 theta rows
-can differ in the last bits from the full block's).
+out 1e-16 below.  A kept row is built by the same kernel as the full
+matrix, over only the theta columns it keeps; a block product over fewer
+theta rows can differ from the full block's in the last bits, so the
+built scores match the full matrix's to float roundoff, and the chosen
+cell is the full matrix's.
 """
 
 from __future__ import annotations
@@ -269,31 +270,35 @@ def _mi_matrix(
     The posteriors must share one grid.  Each tau's entropy block is built
     once and scored against every posterior; posterior r's scores are
     bit-identical to those of ``_mi_matrix([ds[r]], cfg)``.  ``need``, an
-    optional (posterior, tau) boolean mask, limits the work to the rows it
-    marks: a tau's block is built only if some posterior needs that row,
-    and rows left out read -inf.  The rows kept are bit-identical to the
-    full matrix's.
+    optional (posterior, tau, scored theta) boolean mask, limits the work
+    to the cells it marks: a tau's block is built only over the theta
+    columns that some posterior needs in that row, and cells left out read
+    -inf.  A block product over fewer theta rows can differ from the full
+    block's in the last bits, so the cells kept match the full matrix's to
+    float roundoff, not bit for bit.
     """
     grid = _shared_grid(ds)
     taus = tau_search_grid(cfg)
-    if need is None:
-        need = np.ones((len(ds), len(taus)), dtype=bool)
     n_theta = _scored_theta_count(cfg)
+    if need is None:
+        need = np.ones((len(ds), len(taus), n_theta), dtype=bool)
     thetas = theta_search_grid(cfg)[:n_theta]
     table = _harmonic_table(grid, cfg)
     qs = [grid.trapz_weights * d.density for d in ds]
     q0s = [float(q.sum()) for q in qs]
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-    l0 = np.empty((n_theta, grid.n_points))
-    l1 = np.empty_like(l0)
-    xlx = np.empty_like(l0)
+    # the blocks are leading rows of these three buffers, allocated once
+    bufs = [np.empty((n_theta, grid.n_points)) for _ in range(3)]
     out = np.full((len(ds), len(taus), n_theta), -np.inf)
-    for i in np.flatnonzero(need.any(axis=0)):
+    for i in np.flatnonzero(need.any(axis=(0, 2))):
+        cols = np.flatnonzero(need[:, i].any(axis=0))
+        l0, l1, xlx = (b[: len(cols)] for b in bufs)
+        cos_c, sin_c = cos_t[cols], sin_t[cols]
         c, s = table[0, i], table[1, i]
         half_c = 0.5 * math.exp(-taus[i] / cfg.coherence_time)
-        np.multiply(cos_t[:, None], c, out=l0)
-        np.multiply(sin_t[:, None], s, out=l1)
+        np.multiply(cos_c[:, None], c, out=l0)
+        np.multiply(sin_c[:, None], s, out=l1)
         np.subtract(l0, l1, out=l0)
         l0 *= half_c
         l0 += 0.5
@@ -307,13 +312,13 @@ def _mi_matrix(
         np.log(l0, out=l0)
         l0 *= l1
         xlx += l0
-        for r in np.flatnonzero(need[:, i]):
+        for r in np.flatnonzero(need[:, i].any(axis=1)):
             q, q0 = qs[r], q0s[r]
-            p0 = 0.5 * q0 + half_c * (cos_t * float(q @ c) - sin_t * float(q @ s))
+            p0 = 0.5 * q0 + half_c * (cos_c * float(q @ c) - sin_c * float(q @ s))
             np.clip(p0, 0.0, q0, out=p0)
             p1 = q0 - p0
             h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
-            out[r, i] = h_x + xlx @ q
+            out[r, i, cols] = np.where(need[r, i, cols], h_x + xlx @ q, -np.inf)
     return _full_theta(out, cfg)
 
 
@@ -452,46 +457,44 @@ def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
 
 
 def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
-    """Tie-rule cell of each posterior's MI matrix, building only the tau
-    rows that the Fourier screen cannot rule out.
+    """Tie-rule cell of each posterior's MI matrix, building only the cells
+    that the Fourier screen cannot rule out.
 
     A k = 1 pass over every row gives each posterior's row its
-    closed-form bound and a first estimate; its upper value is the
-    smaller of the bound and the upper estimate, and the posterior's
-    cutoff is its best lower estimate less ``TIE_TOL`` less
-    ``_BOUND_MARGIN``.  The screen then takes, at ``_SCREEN_TERMS`` terms,
-    each posterior's row of highest upper value, then every row whose
-    upper value still reaches some posterior's cutoff; each screened row
-    tightens both values for every posterior.  A posterior's row is built
-    only if its upper value reaches the cutoff.  Every row that holds a
-    cell within ``TIE_TOL`` of the optimum is then built, exactly as
-    ``_mi_matrix`` builds it, so the chosen cells are those of the full
-    matrix.
+    closed-form bound and each cell a first estimate; a cell's upper
+    value is the smaller of its row's bound and its upper estimate, and
+    the posterior's cutoff is its best lower estimate less ``TIE_TOL``
+    less ``_BOUND_MARGIN``.  The screen then takes, at ``_SCREEN_TERMS``
+    terms, each posterior's row of highest upper value, then every row
+    where some cell's upper value still reaches some posterior's cutoff;
+    each screened row tightens the upper values of its cells and its
+    lower value, for every posterior.  A posterior's cell is built only
+    if its upper value reaches the cutoff.  Every cell within
+    ``TIE_TOL`` of the optimum is then built by ``_mi_matrix``, so the
+    chosen cells are those of the full matrix.
     """
     taus = tau_search_grid(cfg)
     bound, est, width = _screen(ds, cfg, np.arange(len(taus)), 1)
-    best = est.max(axis=2)
-    lower = best - width - _BOUND_MARGIN
-    upper = np.minimum(bound, best + width)
+    lower = est.max(axis=2) - width - _BOUND_MARGIN
+    upper = np.minimum(bound[:, :, None], est + width[:, :, None])
     screened = np.zeros(len(taus), dtype=bool)
-    rows = np.unique(upper.argmax(axis=1))
+    rows = np.unique(upper.max(axis=2).argmax(axis=1))
     while rows.size:
         _, est, width = _screen(ds, cfg, rows, _SCREEN_TERMS)
-        best = est.max(axis=2)
-        lower[:, rows] = np.maximum(lower[:, rows], best - width - _BOUND_MARGIN)
-        upper[:, rows] = np.minimum(upper[:, rows], best + width)
+        lower[:, rows] = np.maximum(lower[:, rows], est.max(axis=2) - width - _BOUND_MARGIN)
+        upper[:, rows] = np.minimum(upper[:, rows], est + width[:, :, None])
         screened[rows] = True
-        cutoff = (lower.max(axis=1) - TIE_TOL - _BOUND_MARGIN)[:, None]
+        cutoff = lower.max(axis=1) - TIE_TOL - _BOUND_MARGIN
+        need = upper >= cutoff[:, None, None]
         # the cutoff only rises, so a third round would find no row
-        rows = np.flatnonzero(((upper >= cutoff) & ~screened).any(axis=0))
-    scores = _mi_matrix(ds, cfg, upper >= cutoff)
-    return [_best_params(m, cfg) for m in scores]
+        rows = np.flatnonzero((need.any(axis=2) & ~screened).any(axis=0))
+    return [_best_params(m, cfg) for m in _mi_matrix(ds, cfg, need)]
 
 
 def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     """Grid argmax of single-measurement mutual information.
 
-    The cell is that of an exhaustive scan; only the tau rows that the
+    The cell is that of an exhaustive scan; only the cells that the
     Fourier screen cannot rule out are built (``myopic_choices``).
     """
     return myopic_choices([state.posterior], cfg)[0]
@@ -531,8 +534,14 @@ def theta_cell_index(cfg: PolicyConfig, theta: float) -> int:
 
 
 def theta_cells_apart(cfg: PolicyConfig, theta_a: float, theta_b: float) -> int:
-    k = cfg.theta_grid_size
-    d = abs(theta_cell_index(cfg, theta_a) - theta_cell_index(cfg, theta_b))
+    """Cells between two thetas on the circular grid, folded modulo pi.
+
+    theta and theta + pi are the same measurement with its outcomes
+    relabelled, so on an even grid they are 0 cells apart; an odd grid
+    holds no theta + pi cells and keeps the distance around the circle.
+    """
+    k = _scored_theta_count(cfg)
+    d = abs(theta_cell_index(cfg, theta_a) - theta_cell_index(cfg, theta_b)) % k
     return min(d, k - d)
 
 

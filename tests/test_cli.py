@@ -343,7 +343,8 @@ class TestValidateAlpha:
         assert [float(r.split(",")[3]) < 1e-9 for r in rows] == [True, True]
 
     @pytest.mark.parametrize(
-        "j_max, limit", [(0, ">= 1"), (599_991, "<= 599990"), (599_995, "<= 599990")]
+        "j_max, limit",
+        [(0, ">= 1"), (387, "<= 386"), (599_991, "<= 386"), (599_995, "<= 386")],
     )
     def test_j_max_out_of_range_is_config_error(
         self, tmp_path, capsys, monkeypatch, j_max, limit
@@ -363,8 +364,8 @@ class TestValidateAlpha:
 
         monkeypatch.setattr(cli, "alpha_series_closed", unconverged)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "599990"]) == 1
-        assert capsys.readouterr().err == "validate-alpha: stub series called with j_max 599990\n"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "386"]) == 1
+        assert capsys.readouterr().err == "validate-alpha: stub series called with j_max 386\n"
 
     def test_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def unconverged(j_max):

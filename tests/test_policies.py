@@ -38,6 +38,7 @@ from ramsey_sched.policies import (
     tau_cell_index,
     tau_search_grid,
     theta_cell_index,
+    theta_cells_apart,
     theta_search_grid,
 )
 from ramsey_sched.simulate import SimConfig, run_trials
@@ -549,21 +550,59 @@ class TestBoundPrunedChoice:
         assert [(p.tau, p.theta) for p in chosen] == [_best_cell(m, cfg) for m in full]
 
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
-    def test_partial_mask_keeps_rows_bit_for_bit(self, theta_grid_size):
+    def test_partial_mask_builds_only_its_cells(self, theta_grid_size):
         cfg = PolicyConfig(
             tau_min=0.05, tau_max=4.0, tau_grid_size=6,
             theta_grid_size=theta_grid_size, coherence_time=10.0,
         )
         ds = _distinct_posteriors(GRID, 10.0)
-        need = np.array([
+        rows = np.array([
             [1, 0, 0, 1, 0, 1],
             [1, 0, 1, 0, 0, 1],
             [0, 0, 0, 0, 0, 1],
         ], dtype=bool)
+        # holes inside kept rows, in a different place for each posterior,
+        # so that a row's block covers more columns than one posterior needs
+        r, i, j = np.indices((3, 6, policies._scored_theta_count(cfg)))
+        need = rows[:, :, None] & ((r + i + j) % 3 != 0)
+        need[2, 5] = True
         got = _mi_matrix(ds, cfg, need)
         full = _mi_matrix(ds, cfg)
-        assert np.array_equal(got[need], full[need])
-        assert np.all(got[~need] == -np.inf)
+        built = policies._full_theta(need, cfg)
+        assert built.shape == full.shape
+        assert not built[rows].all() and built[rows].any(axis=-1).all()
+        assert np.all(got[~built] == -np.inf)
+        np.testing.assert_allclose(got[built], full[built], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("theta_grid_size", [16, 9])
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_built_cells_cover_every_tied_cell(self, coherence_time, theta_grid_size, monkeypatch):
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 5)]
+        two_points = [_two_point_posterior(GRID, b, b + math.pi / 4.0) for b in (-3.0, 0.0, 1.7)]
+        deep = list(_myopic_trajectory(GRID, replace(cfg, theta_grid_size=16), 3, 30))[4::5]
+        ds = (_random_posteriors(GRID, coherence_time, 13, 6) + spikes + two_points + deep
+              + [uniform_distribution(GRID)])
+        full_matrix = policies._mi_matrix
+        masks = []
+
+        def recording(ds, cfg, need=None):
+            masks.append(policies._full_theta(need, cfg))
+            return full_matrix(ds, cfg, need)
+
+        monkeypatch.setattr(policies, "_mi_matrix", recording)
+        full = full_matrix(ds, cfg)
+        tied = full >= full.max(axis=(1, 2), keepdims=True) - TIE_TOL
+        for r in (1, 8):
+            masks.clear()
+            for k in range(0, len(ds), r):
+                myopic_choices(ds[k : k + r], cfg)
+            built = np.concatenate(masks)
+            assert np.all(built[tied])
+            assert built.mean() < 0.5
 
 
 class TestFourierScreen:
@@ -600,11 +639,12 @@ class TestFourierScreen:
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
             theta_grid_size=16, coherence_time=coherence_time,
         )
-        built, screened = [], []
+        built, cells, screened = [], [], []
         full_matrix, full_screen = policies._mi_matrix, policies._screen
 
         def counting(ds, cfg, need=None):
-            built.append(need.any(axis=0).mean())
+            built.append(need.any(axis=(0, 2)).mean())
+            cells.append(need.mean())
             return full_matrix(ds, cfg, need)
 
         def counting_screen(ds, cfg, taus, k):
@@ -625,6 +665,10 @@ class TestFourierScreen:
         # rules out little
         assert np.mean(built) < 0.25
         assert sum(screened) / len(built) < (0.45 if math.isinf(coherence_time) else 0.3)
+        # at finite T the K-term error bars leave about one cell of each
+        # built row (12.5% of its cells); at T = inf about half of them
+        if math.isfinite(coherence_time):
+            assert np.mean(cells) < 0.25 * np.mean(built)
 
 
 def _per_tau_variance_matrix(d, cfg):
@@ -750,3 +794,20 @@ class TestKpeMyopicComparison:
     def test_rejects_bad_outcomes(self):
         with pytest.raises(ValueError):
             compare_kpe_to_myopic([0, 2], SMALL_CFG, GRID)
+
+    def test_theta_delta_folds_pi_on_an_even_grid(self):
+        cfg = PolicyConfig(theta_grid_size=64)
+        step = 2 * math.pi / 64
+        for theta in (0.0, 5 * step, 40 * step):
+            assert theta_cells_apart(cfg, theta, theta + math.pi) == 0
+        assert theta_cells_apart(cfg, 0.0, 31 * step) == 1
+        assert theta_cells_apart(cfg, 0.0, 16 * step) == 16
+        assert theta_cells_apart(cfg, 0.0, 48 * step) == 16
+
+    def test_theta_delta_on_an_odd_grid_goes_around_the_circle(self):
+        cfg = PolicyConfig(theta_grid_size=9)
+        thetas = theta_search_grid(cfg)
+        for i in range(9):
+            for j in range(9):
+                d = abs(i - j)
+                assert theta_cells_apart(cfg, thetas[i], thetas[j]) == min(d, 9 - d)
