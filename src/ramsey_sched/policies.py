@@ -25,12 +25,15 @@ cell by cell, up to float roundoff:
   w.1/2 + (C/2)(cos(theta) w.c - sin(theta) w.s).  The predictive
   probability takes w = q; the variance objective takes w = q, q b, q b^2
   and needs no theta x N block at all: its w.c and w.s for every tau are
-  one matrix product with the harmonic table.
+  one matrix product with the harmonic table, stacked over the
+  posteriors of a step (``variance_choices``) so that each takes the
+  BLAS call it would take alone.
 - The harmonic table (``_harmonic_table``) holds c, s, cos 4 tau b and
   sin 4 tau b for every tau of the search grid, shape (4, tau, N), the
   last two as the double-angle products c^2 - s^2 and 2 c s.  It does
   not depend on the posterior or on T, so it is built once per grid and
   tau search grid, one grid row at a time, and shared by every scorer.
+  So is the contrast C of every tau (``_contrasts``).
 - The MI kernel still needs the pointwise outcome entropy h(l0) over a
   theta x N block, built in three buffers allocated once per call.  The
   block does not depend on the posterior, so the kernel takes a sequence
@@ -59,21 +62,25 @@ with the a_j in closed form (``fourier.contrast_entropy_series``).  Each
 power of cos phi expands into cosines with positive weights, so a_j(C)
 < 0 for every j >= 1 at every C <= 1: the paper's sign claim for the
 full-contrast alpha_j carries over to finite T.  With the moments
-M_j = sum_b q(b) exp(4 i j tau b), where M_1 and q against c + is come
-from one product with the harmonic table and the higher j turn the
-table's cos + i sin 4 tau b through 4 tau b at a time,
+M_j = sum_b q(b) exp(4 i j tau b), where M_1 and q against c + is of
+every tau come from one product of the posteriors' q with the whole
+harmonic table, formed once per decision (``_moments``), and the higher
+j are complex powers of the table's cos + i sin 4 tau b, built only for
+the rows screened at K terms,
 
     H(X|B) = a_0 q0 + sum_{j>=1} a_j Re[exp(2 i j theta) M_j].
 
 A screen keeps K terms (``_SCREEN_TERMS``, or 1 in a first pass), and
-H(X) keeps its closed form.  Since q >= 0 and |cos| <= 1, the terms cut
-off add up to at most q0 times the tail sum_{j>K} |a_j(C)|, and the
-tail is known exactly: at phi = 0 the series sums to h((1 + C)/2), and
-the terms past K all have one sign, so tail = a_0 - h((1 + C)/2) -
-sum_{j<=K} |a_j|.  Each of the K + 1 coefficients and the tail is within
-e = ``CONTRAST_SERIES_ERR`` of its exact value, so each cell's estimate
-is within q0 (tail + (K + 2) e) of its exact score, plus float rounding
-in the estimate and in the kernel, which ``_BOUND_MARGIN`` covers.
+H(X) keeps its closed form; the a_0..a_K and tails at the contrast of
+every tau are cached per configuration (``_series_table``).  Since
+q >= 0 and |cos| <= 1, the terms cut off add up to at most q0 times the
+tail sum_{j>K} |a_j(C)|, and the tail is known exactly: at phi = 0 the
+series sums to h((1 + C)/2), and the terms past K all have one sign, so
+tail = a_0 - h((1 + C)/2) - sum_{j<=K} |a_j|.  Each of the K + 1
+coefficients and the tail is within e = ``CONTRAST_SERIES_ERR`` of its
+exact value, so each cell's estimate is within q0 (tail + (K + 2) e) of
+its exact score, plus float rounding in the estimate and in the kernel,
+which ``_BOUND_MARGIN`` covers.
 
 The same moments give each cell's MI two closed-form upper bounds:
 
@@ -202,6 +209,16 @@ def tau_search_grid(cfg: PolicyConfig) -> np.ndarray:
     return taus
 
 
+@lru_cache(maxsize=64)
+def _contrasts(cfg: PolicyConfig) -> np.ndarray:
+    """Read-only contrast exp(-tau/T) of every tau of the search grid, the
+    one value every scorer takes for it."""
+    taus = tau_search_grid(cfg).tolist()
+    contrast = np.array([math.exp(-tau / cfg.coherence_time) for tau in taus])
+    contrast.flags.writeable = False
+    return contrast
+
+
 def theta_search_grid(cfg: PolicyConfig) -> np.ndarray:
     return np.arange(cfg.theta_grid_size) * (TWO_PI / cfg.theta_grid_size)
 
@@ -284,6 +301,7 @@ def _mi_matrix(
         need = np.ones((len(ds), len(taus), n_theta), dtype=bool)
     thetas = theta_search_grid(cfg)[:n_theta]
     table = _harmonic_table(grid, cfg)
+    contrasts = _contrasts(cfg)
     qs = [grid.trapz_weights * d.density for d in ds]
     q0s = [float(q.sum()) for q in qs]
     cos_t = np.cos(thetas)
@@ -296,7 +314,7 @@ def _mi_matrix(
         l0, l1, xlx = (b[: len(cols)] for b in bufs)
         cos_c, sin_c = cos_t[cols], sin_t[cols]
         c, s = table[0, i], table[1, i]
-        half_c = 0.5 * math.exp(-taus[i] / cfg.coherence_time)
+        half_c = 0.5 * contrasts[i]
         np.multiply(cos_c[:, None], c, out=l0)
         np.multiply(sin_c[:, None], s, out=l1)
         np.subtract(l0, l1, out=l0)
@@ -322,56 +340,73 @@ def _mi_matrix(
     return _full_theta(out, cfg)
 
 
+@lru_cache(maxsize=8)
+def _series_table(cfg: PolicyConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only coefficients a_0..a_k, (k + 1, tau), and tails, (tau,), of
+    ``contrast_entropy_series`` at the contrast of every tau of the search
+    grid, cached per configuration and k like the harmonic table."""
+    coeffs, tails = zip(*(contrast_entropy_series(c, k) for c in _contrasts(cfg).tolist()))
+    table = (np.stack(coeffs, axis=1), np.array(tails))
+    for x in table:
+        x.flags.writeable = False
+    return table
+
+
+def _moments(
+    ds: Sequence[FieldDistribution], cfg: PolicyConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The harmonic table, q = trapezoid weight x density of each posterior,
+    (posterior, N), and q against every table row, (4, tau, posterior):
+    one product over the whole table, shared by every screen round."""
+    grid = _shared_grid(ds)
+    table = _harmonic_table(grid, cfg)
+    qs = np.stack([grid.trapz_weights * d.density for d in ds])
+    return table, qs, np.matmul(table, qs.T)
+
+
 def _screen(
-    ds: Sequence[FieldDistribution], cfg: PolicyConfig, rows: np.ndarray, k: int
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: PolicyConfig, rows: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form bound and k-term Fourier estimates (k >= 1) of the MI
     in the given tau rows (indices into the tau search grid), from their
     2k + 2 harmonic moments (see the module docstring).
 
-    The first four moments, q against the harmonic table, come from one
-    product over the table's rows from the first given row to the last
-    (the whole table when every row is given); only the harmonics of
-    4 j tau b for j >= 2 are built, per row, each pair the previous one
-    turned by 4 tau b, starting from the table's cos, sin 4 tau b.
+    ``moments`` is ``_moments(ds, cfg)``: the first four moments of every
+    row are read from its product, not formed again.  Only the harmonics
+    exp(4 i j tau b) for j >= 2 are built, per row, as successive complex
+    powers of the table's cos + i sin 4 tau b in one (k, N) buffer, and
+    each posterior's moments are one product with that buffer.
 
     Returns ``bound``, (posterior, row), the largest of the row's cell
     bounds; ``est``, (posterior, row, scored theta); and ``width``,
     (posterior, row): each exact score lies within ``width`` plus rounding
     (below ``_BOUND_MARGIN``) of its estimate.
     """
-    grid = _shared_grid(ds)
-    table = _harmonic_table(grid, cfg)
+    table, qs, head = moments
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
-    qs = np.stack([grid.trapz_weights * d.density for d in ds])
-    contrast = np.exp(-tau_search_grid(cfg)[rows] / cfg.coherence_time)
-    moments = np.empty((2 * k + 2, len(ds), len(rows)))
-    # the product takes a view, so no table rows are copied out
-    lo = int(rows.min())
-    head = np.matmul(table[:, lo : int(rows.max()) + 1], qs.T)
-    moments[:4] = head[:, rows - lo].transpose(0, 2, 1)
+    contrast = _contrasts(cfg)[rows]
+    a, tail = (x[..., rows] for x in _series_table(cfg, k))
+    mom = np.empty((2 * k + 2, len(qs), len(rows)))
+    mom[:4] = head[:, rows].transpose(0, 2, 1)
     if k > 1:
-        # the moments of 4 j tau b for j >= 2, row by row
-        harm = np.empty((2 * k - 2, grid.n_points))
+        # z^j = exp(4 i j tau b) for j = 1..k, one row at a time; the
+        # (re, im) pairs of sum_b q z^j for j >= 2 are a product with the
+        # powers viewed as (k - 1, N, 2) floats
+        powers = np.empty((k, qs.shape[1]), dtype=complex)
+        z = powers[0]
+        pairs = powers[1:].view(float).reshape(k - 1, -1, 2)
         for n, i in enumerate(rows.tolist()):
-            prev_c, prev_s = c2, s2 = table[2, i], table[3, i]
-            for m in range(0, len(harm), 2):
-                np.multiply(prev_c, c2, out=harm[m])
-                harm[m] -= prev_s * s2
-                np.multiply(prev_c, s2, out=harm[m + 1])
-                harm[m + 1] += prev_s * c2
-                prev_c, prev_s = harm[m], harm[m + 1]
-            moments[4:, :, n] = harm @ qs.T
-    coeffs, tails = zip(*(contrast_entropy_series(float(c), k) for c in contrast))
-    a = np.stack(coeffs, axis=1)
-    tail = np.array(tails)
+            z.real, z.imag = table[2, i], table[3, i]
+            for j in range(1, k):
+                np.multiply(powers[j - 1], z, out=powers[j])
+            mom[4:, :, n] = np.matmul(qs, pairs).transpose(0, 2, 1).reshape(-1, len(qs))
     # every array below is (posterior, tau, theta); re puts j = 1..k first
-    q_c, q_s = moments[:2, :, :, None]
+    q_c, q_s = mom[:2, :, :, None]
     q0 = qs.sum(axis=1)[:, None, None]
     half_c = 0.5 * contrast[:, None]
     # re_j = Re[exp(2 i j theta) M_j], M_j = sum_b q exp(4 i j tau b)
     angles = 2.0 * np.arange(1, k + 1)[:, None, None, None] * thetas
-    re = np.cos(angles) * moments[2::2, ..., None] - np.sin(angles) * moments[3::2, ..., None]
+    re = np.cos(angles) * mom[2::2, ..., None] - np.sin(angles) * mom[3::2, ..., None]
     # u = cos(2 tau b + theta), so p0 = q0/2 + half_c sum_b q u
     q_u = np.cos(thetas) * q_c - np.sin(thetas) * q_s
     p0 = np.clip(0.5 * q0 + half_c * q_u, 0.0, q0)
@@ -393,22 +428,36 @@ def _screen(
     return np.minimum(topsoe, chi2).max(axis=-1), est, width
 
 
-def _expected_variance_matrix(d: FieldDistribution, cfg: PolicyConfig) -> np.ndarray:
-    """Outcome-averaged posterior variance for every (tau, theta) cell."""
+def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
+    """Outcome-averaged posterior variance for every (posterior, tau, theta)
+    cell.
+
+    The posteriors must share one grid.  Their w = q, q b, q b^2 against c
+    and s of every tau come from one stacked product with the harmonic
+    table, one BLAS call per posterior with the operands it would have
+    alone, so posterior r's scores are bit-identical to those of
+    ``_expected_variance_matrix([ds[r]], cfg)`` (one flat product over
+    all posteriors' w is not).
+    """
+    grid = _shared_grid(ds)
     taus = tau_search_grid(cfg)
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
-    b = d.grid.points
-    q = d.grid.trapz_weights * d.density
-    qb = q * b
-    w = np.stack((q, qb, qb * b))
-    tot = w.sum(axis=1)[:, None, None]
-    # w against c and s of every tau in one product: wc[k, i] = w_k . c_i
-    cs = _harmonic_table(d.grid, cfg)[:2].reshape(-1, d.grid.n_points)
-    wc, ws = (cs @ w.T).reshape(2, len(taus), 3).transpose(0, 2, 1)[..., None]
-    half_c = np.array([0.5 * math.exp(-tau / cfg.coherence_time) for tau in taus])[:, None]
-    # moments[k, i, j] = sum_b w_k(b) l0(b; tau_i, theta_j)
+    # w[r] = q, q b, q b^2 of posterior r, written in place
+    w = np.empty((len(ds), 3, grid.n_points))
+    for r, d in enumerate(ds):
+        np.multiply(grid.trapz_weights, d.density, out=w[r, 0])
+    np.multiply(w[:, 0], grid.points, out=w[:, 1])
+    np.multiply(w[:, 1], grid.points, out=w[:, 2])
+    # every array below is (w_k, posterior, tau, theta)
+    tot = w.sum(axis=2).T[:, :, None, None]
+    # wcs[r] holds w_k . c_i in its first tau rows and w_k . s_i in the rest
+    cs = _harmonic_table(grid, cfg)[:2].reshape(-1, grid.n_points)
+    wcs = np.matmul(cs, w.transpose(0, 2, 1))
+    wc, ws = wcs.reshape(len(ds), 2, len(taus), 3).transpose(1, 3, 0, 2)[..., None]
+    half_c = 0.5 * _contrasts(cfg)[:, None]
+    # moments[k, r, i, j] = sum_b w_k(b) l0(b; tau_i, theta_j) for posterior r
     moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
-    out = np.zeros((len(taus), len(thetas)))
+    out = np.zeros((len(ds), len(taus), len(thetas)))
     for m0, m1, m2 in (moments, tot - moments):
         ok = m0 > _EV_MASS_FLOOR
         mm = np.where(ok, m0, 1.0)
@@ -460,7 +509,9 @@ def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[R
     """Tie-rule cell of each posterior's MI matrix, building only the cells
     that the Fourier screen cannot rule out.
 
-    A k = 1 pass over every row gives each posterior's row its
+    The posteriors' first four moments against every tau are formed once
+    (``_moments``) and read by every screen round.  A k = 1 pass over
+    every row gives each posterior's row its
     closed-form bound and each cell a first estimate; a cell's upper
     value is the smaller of its row's bound and its upper estimate, and
     the posterior's cutoff is its best lower estimate less ``TIE_TOL``
@@ -474,13 +525,14 @@ def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[R
     chosen cells are those of the full matrix.
     """
     taus = tau_search_grid(cfg)
-    bound, est, width = _screen(ds, cfg, np.arange(len(taus)), 1)
+    moments = _moments(ds, cfg)
+    bound, est, width = _screen(moments, cfg, np.arange(len(taus)), 1)
     lower = est.max(axis=2) - width - _BOUND_MARGIN
     upper = np.minimum(bound[:, :, None], est + width[:, :, None])
     screened = np.zeros(len(taus), dtype=bool)
     rows = np.unique(upper.max(axis=2).argmax(axis=1))
     while rows.size:
-        _, est, width = _screen(ds, cfg, rows, _SCREEN_TERMS)
+        _, est, width = _screen(moments, cfg, rows, _SCREEN_TERMS)
         lower[:, rows] = np.maximum(lower[:, rows], est.max(axis=2) - width - _BOUND_MARGIN)
         upper[:, rows] = np.minimum(upper[:, rows], est + width[:, :, None])
         screened[rows] = True
@@ -500,9 +552,16 @@ def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyP
     return myopic_choices([state.posterior], cfg)[0]
 
 
+def variance_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
+    """Tie-rule cell of each posterior's expected-variance matrix, argmin
+    over every cell; all posteriors are scored by one kernel call, each
+    exactly as alone."""
+    return [_best_params(-m, cfg) for m in _expected_variance_matrix(ds, cfg)]
+
+
 def next_params_variance_min(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     """Exhaustive grid argmin of the expected posterior variance."""
-    return _best_params(-_expected_variance_matrix(state.posterior, cfg), cfg)
+    return variance_choices([state.posterior], cfg)[0]
 
 
 def next_params(state: PolicyState, cfg: PolicyConfig, rng: np.random.Generator | None = None) -> RamseyParams:

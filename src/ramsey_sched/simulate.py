@@ -6,12 +6,14 @@ field's likelihood, update the posterior, and record its entropy and
 spread.
 
 ``run_trials`` is the one trial loop, and this module alone decides
-which trials advance together.  Myopic trials advance in lockstep: at
-each step one ``policies.myopic_choices`` call scores every trial's
-posterior against one shared entropy block per tau (for the taus that
-the Fourier screen does not rule out for some trial), then each trial
-samples its outcome and updates on its own.  The other kinds share no scoring work
-and run one trial at a time, each step asking ``policies.next_params``.
+which trials advance together.  The two greedy kinds advance in
+lockstep: at each step one batch chooser call scores every trial's
+posterior, then each trial samples its outcome and updates on its own.
+``policies.myopic_choices`` scores them against one shared entropy block
+per tau (for the taus that the Fourier screen does not rule out for some
+trial), and ``policies.variance_choices`` with one stacked product with
+the harmonic table.  The other kinds share no scoring work and run one
+trial at a time, each step asking ``policies.next_params``.
 Each trial draws from its own stream, derived from (master_seed,
 trial_index), in a fixed order (true field, the policy's draws, the
 outcome), so a trajectory is bit-identical whether its trial runs alone
@@ -39,7 +41,7 @@ from .bayes import (
     mean,
     variance,
 )
-from .policies import PolicyConfig, PolicyState, myopic_choices, next_params
+from .policies import PolicyConfig, PolicyState, myopic_choices, next_params, variance_choices
 
 
 def check_prior_coverage(grid: FieldGrid, prior_mean: float, prior_std: float) -> None:
@@ -136,8 +138,8 @@ def sample_outcome(rng: np.random.Generator, b_true: float, p: RamseyParams) -> 
 def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]:
     """Simulate the given trials; bit-identical for equal inputs.
 
-    Myopic trials advance in lockstep, so each step's ``myopic_choices``
-    call scores every posterior against one entropy block per tau; the
+    Greedy trials advance in lockstep, so each step's ``myopic_choices``
+    or ``variance_choices`` call scores every posterior at once; the
     other kinds run one trial at a time through ``run_trial`` and hold a
     single posterior.  Either way a trial's trajectory does not depend on
     which other trials run beside it.
@@ -147,7 +149,7 @@ def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]
             message names the trial, the step and the master seed.
     """
     indices = [int(i) for i in trial_indices]
-    if cfg.policy.kind == "myopic_entropy":
+    if cfg.policy.kind in ("myopic_entropy", "variance_min"):
         return _run_lockstep(cfg, indices)
     return [run_trial(cfg, i) for i in indices]
 
@@ -166,6 +168,8 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
     for step in range(1, cfg.n_measurements + 1):
         if cfg.policy.kind == "myopic_entropy":
             chosen = myopic_choices(posteriors, cfg.policy)
+        elif cfg.policy.kind == "variance_min":
+            chosen = variance_choices(posteriors, cfg.policy)
         else:
             chosen = [
                 next_params(PolicyState(post, tuple(hist), len(hist)), cfg.policy, rng)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from ramsey_sched.bayes import (
     spike_distribution,
     uniform_distribution,
 )
+from ramsey_sched.fourier import contrast_entropy_series
 from ramsey_sched.policies import (
     _BOUND_MARGIN,
     _SCREEN_TERMS,
@@ -27,7 +29,9 @@ from ramsey_sched.policies import (
     _expected_variance_matrix,
     _harmonic_table,
     _mi_matrix,
+    _moments,
     _screen,
+    _series_table,
     compare_kpe_to_myopic,
     myopic_choices,
     next_params,
@@ -40,6 +44,7 @@ from ramsey_sched.policies import (
     theta_cell_index,
     theta_cells_apart,
     theta_search_grid,
+    variance_choices,
 )
 from ramsey_sched.simulate import SimConfig, run_trials
 
@@ -317,9 +322,13 @@ def _mi_one(d, cfg):
     return _mi_matrix([d], cfg)[0]
 
 
+def _variance_one(d, cfg):
+    return _expected_variance_matrix([d], cfg)[0]
+
+
 KERNELS = [
     (_mi_one, mutual_information, next_params_myopic_entropy, 1.0),
-    (_expected_variance_matrix, _expected_variance, next_params_variance_min, -1.0),
+    (_variance_one, _expected_variance, next_params_variance_min, -1.0),
 ]
 
 
@@ -480,7 +489,7 @@ def _assert_screen_covers(ds, cfg):
     # returns the k = _SCREEN_TERMS bound and error bars
     exact = _mi_matrix(ds, cfg)
     for k in (1, _SCREEN_TERMS):
-        bound, est, width = _screen(ds, cfg, np.arange(cfg.tau_grid_size), k)
+        bound, est, width = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), k)
         assert bound.shape == width.shape == (len(ds), cfg.tau_grid_size)
         assert np.all(bound >= exact.max(axis=2) - _BOUND_MARGIN)
         assert np.all(np.abs(exact[:, :, : est.shape[2]] - est) <= width[:, :, None] + _BOUND_MARGIN)
@@ -530,7 +539,7 @@ class TestBoundPrunedChoice:
                 full = _mi_matrix([d], cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
-                bounds = _screen([d], cfg, np.arange(cfg.tau_grid_size), 1)[0][0]
+                bounds = _screen(_moments([d], cfg), cfg, np.arange(cfg.tau_grid_size), 1)[0][0]
                 kept.append(np.mean(bounds >= full.max() - TIE_TOL - _BOUND_MARGIN))
         # the bound rules out most rows (the point of pruning)
         assert np.mean(kept) < 0.5
@@ -604,6 +613,45 @@ class TestBoundPrunedChoice:
             assert np.all(built[tied])
             assert built.mean() < 0.5
 
+    @pytest.mark.parametrize("theta_grid_size", [16, 9])
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_margin_covers_bounds_tight_to_rounding(self, coherence_time, theta_grid_size, monkeypatch):
+        # with TIE_TOL = 0 only _BOUND_MARGIN allows for rounding, on
+        # posteriors whose bounds are tight to rounding: one-point ones
+        # (MI 0 up to rounding, either side) and two-point ones, whose
+        # likelihoods at T = inf reach 0, 1/2 and 1
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
+            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
+        )
+        grid, _, _, spike = _rounding_case()
+        ds = [spike] + [spike_distribution(grid, b) for b in (-7.3, 0.0, 2.0, 11.1)]
+        ds += [
+            _two_point_posterior(grid, b, b + gap)
+            for b in (-3.0, 0.0, 1.7)
+            for gap in (math.pi / 4.0, math.pi / 2.0, 0.3)
+        ]
+        full_matrix = policies._mi_matrix
+        masks = []
+
+        def recording(ds, cfg, need=None):
+            masks.append(policies._full_theta(need, cfg))
+            return full_matrix(ds, cfg, need)
+
+        monkeypatch.setattr(policies, "TIE_TOL", 0.0)
+        monkeypatch.setattr(policies, "_mi_matrix", recording)
+        full = full_matrix(ds, cfg)
+        best = full.max(axis=(1, 2), keepdims=True)
+        for r in (1, len(ds)):
+            masks.clear()
+            chosen = []
+            for k in range(0, len(ds), r):
+                chosen += myopic_choices(ds[k : k + r], cfg)
+            assert np.all(np.concatenate(masks)[full >= best])
+            for m, p in zip(full, chosen):
+                cell = m[tau_cell_index(cfg, p.tau), theta_cell_index(cfg, p.theta)]
+                assert cell >= m.max() - 1e-14
+
 
 class TestFourierScreen:
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
@@ -633,6 +681,54 @@ class TestFourierScreen:
         assert np.all(width[:, -1] < TIE_TOL)
         assert np.all(width[:, 0] > TIE_TOL)
 
+    @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
+    def test_rounds_read_the_shared_moments(self, coherence_time):
+        # a round over some rows gives those rows exactly what a round
+        # over every row gives them: each reads its four moments from the
+        # one product over the table and builds its own harmonics
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
+            theta_grid_size=12, coherence_time=coherence_time,
+        )
+        ds = _random_posteriors(GRID, coherence_time, 17, 3)
+        moments = _moments(ds, cfg)
+        table, qs, head = moments
+        assert head.shape == (4, cfg.tau_grid_size, len(ds))
+        np.testing.assert_allclose(head, np.einsum("ktn,rn->ktr", table, qs), rtol=0.0, atol=1e-15)
+        every = _screen(moments, cfg, np.arange(cfg.tau_grid_size), _SCREEN_TERMS)
+        for rows in (np.array([3]), np.array([0, 7, 15]), np.array([14, 2])):
+            some = _screen(moments, cfg, rows, _SCREEN_TERMS)
+            for got, full in zip(some, every):
+                assert np.array_equal(got, full[:, rows])
+
+    def test_complex_harmonics_match_direct_trig(self):
+        # the screen's estimates from complex powers of exp(4 i tau b)
+        # against the same sum built on cos and sin of 4 j tau b taken
+        # afresh
+        cfg = PolicyConfig(
+            tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=8,
+            theta_grid_size=12, coherence_time=10.0,
+        )
+        ds = _random_posteriors(GRID, 10.0, 19, 2) + [_two_point_posterior(GRID, 0.0, 1.0)]
+        _, est, _ = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), _SCREEN_TERMS)
+        contrast = policies._contrasts(cfg)
+        a, _ = _series_table(cfg, _SCREEN_TERMS)
+        thetas = theta_search_grid(cfg)[:6]
+        b = GRID.points
+        for r, d in enumerate(ds):
+            q = GRID.trapz_weights * d.density
+            q0 = q.sum()
+            for i, tau in enumerate(tau_search_grid(cfg).tolist()):
+                q_c, q_s = q @ np.cos(2.0 * tau * b), q @ np.sin(2.0 * tau * b)
+                q_u = np.cos(thetas) * q_c - np.sin(thetas) * q_s
+                p0 = np.clip(0.5 * q0 + 0.5 * contrast[i] * q_u, 0.0, q0)
+                p1 = q0 - p0
+                want = -(p0 * np.log(p0) + p1 * np.log(p1)) - a[0, i] * q0
+                for j in range(1, _SCREEN_TERMS + 1):
+                    m_c, m_s = q @ np.cos(4.0 * j * tau * b), q @ np.sin(4.0 * j * tau * b)
+                    want -= a[j, i] * (np.cos(2 * j * thetas) * m_c - np.sin(2 * j * thetas) * m_s)
+                np.testing.assert_allclose(est[r, i], want, rtol=0.0, atol=1e-13)
+
     @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
     def test_screened_choice_equals_full_scan_over_30_steps(self, coherence_time, monkeypatch):
         cfg = PolicyConfig(
@@ -647,10 +743,10 @@ class TestFourierScreen:
             cells.append(need.mean())
             return full_matrix(ds, cfg, need)
 
-        def counting_screen(ds, cfg, taus, k):
+        def counting_screen(moments, cfg, taus, k):
             if k == _SCREEN_TERMS:
                 screened.append(len(taus) / cfg.tau_grid_size)
-            return full_screen(ds, cfg, taus, k)
+            return full_screen(moments, cfg, taus, k)
 
         monkeypatch.setattr(policies, "_mi_matrix", counting)
         monkeypatch.setattr(policies, "_screen", counting_screen)
@@ -735,9 +831,57 @@ class TestHarmonicTable:
         for seed in range(3):
             for d in _myopic_trajectory(GRID, replace(cfg, kind="myopic_entropy"), seed, 10):
                 oracle = _per_tau_variance_matrix(d, cfg)
-                np.testing.assert_allclose(_expected_variance_matrix(d, cfg), oracle, rtol=0.0, atol=tol)
+                np.testing.assert_allclose(_variance_one(d, cfg), oracle, rtol=0.0, atol=tol)
                 p = next_params_variance_min(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(-oracle, cfg)
+
+
+class TestSeriesTable:
+    @pytest.mark.parametrize("k", [1, _SCREEN_TERMS])
+    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
+    def test_equals_per_row_series_bit_for_bit(self, coherence_time, k):
+        cfg = replace(SMALL_CFG, coherence_time=coherence_time)
+        contrast = policies._contrasts(cfg)
+        a, tail = _series_table(cfg, k)
+        assert a.shape == (k + 1, cfg.tau_grid_size)
+        assert tail.shape == (cfg.tau_grid_size,)
+        for i, tau in enumerate(tau_search_grid(cfg).tolist()):
+            assert contrast[i] == math.exp(-tau / coherence_time)
+            coeffs, t = contrast_entropy_series(float(contrast[i]), k)
+            assert a[:, i].tobytes() == coeffs.tobytes()
+            assert tail[i] == t
+
+    def test_read_only_and_cached(self):
+        contrast, series = policies._contrasts(SMALL_CFG), _series_table(SMALL_CFG, _SCREEN_TERMS)
+        assert policies._contrasts(SMALL_CFG) is contrast
+        assert _series_table(SMALL_CFG, _SCREEN_TERMS) is series
+        for x in (contrast, *series):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
+
+class TestVarianceBatchKernel:
+    @pytest.mark.parametrize("n_points", [2**11, 2**12])
+    @pytest.mark.parametrize("theta_grid_size", [16, 9])
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_each_posterior_scores_as_alone(self, count, theta_grid_size, n_points):
+        grid = FieldGrid(-20.0, 20.0, n_points)
+        cfg = PolicyConfig(
+            kind="variance_min", tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
+            theta_grid_size=theta_grid_size, coherence_time=10.0,
+        )
+        ds = _random_posteriors(grid, 10.0, 23, count - 1) + [spike_distribution(grid, 0.3)]
+        got = _expected_variance_matrix(ds, cfg)
+        assert got.shape == (count, cfg.tau_grid_size, cfg.theta_grid_size)
+        # as in test_variance_choice_equals_per_tau_kernel
+        tol = grid.n_points * np.finfo(float).eps * grid.b_max**2
+        for d, scores in zip(ds, got):
+            assert scores.tobytes() == _expected_variance_matrix([d], cfg)[0].tobytes()
+            np.testing.assert_allclose(scores, _per_tau_variance_matrix(d, cfg), rtol=0.0, atol=tol)
+        chosen = variance_choices(ds, cfg)
+        assert chosen == [next_params_variance_min(_state(d), cfg) for d in ds]
+        assert [(p.tau, p.theta) for p in chosen] == [_best_cell(-m, cfg) for m in got]
 
 
 class TestPinnedMyopicCells:
@@ -790,6 +934,18 @@ class TestKpeMyopicComparison:
         for r in rows:
             assert r.tau_cell_delta == 0
             assert r.theta_cell_delta == 0
+
+    def test_every_five_outcome_string_agrees_at_the_defaults(self):
+        # the paper's reduction claim at the kpe-check defaults, over all
+        # 2^5 outcome strings, not only the default five 0s
+        keys = cli.resolve_config("kpe-check", None)
+        cfg = cli._policy_config(keys, "myopic_entropy")
+        grid = FieldGrid(keys["b_min"], keys["b_max"], keys["n_points"])
+        assert len(keys["outcomes"]) == 5
+        for outcomes in itertools.product((0, 1), repeat=5):
+            rows = compare_kpe_to_myopic(outcomes, cfg, grid)
+            assert [r.step for r in rows] == [2, 3, 4, 5, 6]
+            assert all(r.tau_cell_delta == 0 and r.theta_cell_delta == 0 for r in rows), outcomes
 
     def test_rejects_bad_outcomes(self):
         with pytest.raises(ValueError):

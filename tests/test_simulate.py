@@ -144,7 +144,7 @@ class TestRunTrials:
     @pytest.mark.parametrize("true_field", [None, 0.25])
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_matches_each_trial_run_alone(self, kind, true_field):
-        # myopic trials share one scoring call per step; every trajectory
+        # greedy trials share one scoring call per step; every trajectory
         # must still equal that of its trial run alone, bit for bit
         cfg = _cfg(kind, true_field=true_field, n_measurements=4)
         alone = [run_trial(cfg, i) for i in range(3)]
@@ -154,35 +154,41 @@ class TestRunTrials:
 
     @pytest.mark.parametrize(
         "kind, calls",
-        [("kpe", 3), ("myopic_entropy", 0), ("random", 3), ("variance_min", 3)],
+        [("kpe", 3), ("myopic_entropy", 0), ("random", 3), ("variance_min", 0)],
     )
     def test_one_at_a_time_kinds_go_through_run_trial(self, kind, calls, monkeypatch):
-        # run_trial and myopic_choices are looked up at call time, so a
-        # wrapper on run_trial sees every trial of a kind that does not
-        # run in lockstep, and one on myopic_choices sees each lockstep
-        # step with every trial's posterior
+        # run_trial and the batch choosers are looked up at call time, so
+        # a wrapper on run_trial sees every trial of a kind that does not
+        # run in lockstep, and one on a greedy kind's batch chooser sees
+        # each lockstep step with every trial's posterior
         cfg = _cfg(kind, n_measurements=4)
         expect = run_trials(cfg, range(3))
-        real_trial, seen = simulate.run_trial, []
-        real_choices, batches = simulate.myopic_choices, []
+        real_trial, seen, batches = simulate.run_trial, [], []
 
         def counting_trial(cfg, i):
             seen.append(i)
             return real_trial(cfg, i)
 
-        def counting_choices(ds, cfg):
-            batches.append(len(ds))
-            return real_choices(ds, cfg)
+        def counting(name):
+            real = getattr(simulate, name)
+
+            def choices(ds, cfg):
+                batches.append((name, len(ds)))
+                return real(ds, cfg)
+
+            return choices
 
         monkeypatch.setattr(simulate, "run_trial", counting_trial)
-        monkeypatch.setattr(simulate, "myopic_choices", counting_choices)
+        for name in ("myopic_choices", "variance_choices"):
+            monkeypatch.setattr(simulate, name, counting(name))
         assert run_trials(cfg, range(3)) == expect
         assert len(seen) == calls
-        assert batches == ([3] * 4 if kind == "myopic_entropy" else [])
+        chooser = {"myopic_entropy": "myopic_choices", "variance_min": "variance_choices"}.get(kind)
+        assert batches == ([(chooser, 3)] * 4 if chooser else [])
 
     @pytest.mark.parametrize("kind", ["myopic_entropy", "kpe"])
     def test_zero_evidence_names_trial_step_and_seed(self, kind, monkeypatch):
-        # myopic trials advance in lockstep (update k is trial k % 3 at
+        # greedy trials advance in lockstep (update k is trial k % 3 at
         # step k // 3 + 1); the other kinds run trial by trial (update k
         # is trial k // 4 at step k % 4 + 1)
         cfg = _cfg(kind, n_measurements=4)
