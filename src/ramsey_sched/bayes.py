@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,6 +26,9 @@ ZERO_EVIDENCE_FLOOR = 1e-300
 
 # Trapezoidal integral of a density must stay this close to 1.
 NORMALIZATION_TOL = 1e-9
+
+# ln is taken of max(x, _TINY), so that x ln x reads 0 at x = 0.
+_TINY = np.finfo(float).tiny
 
 
 class ZeroEvidence(ValueError):
@@ -200,9 +202,14 @@ def bayes_update(d: FieldDistribution, p: RamseyParams, x: int) -> FieldDistribu
     return FieldDistribution(d.grid, unnormalized / evidence)
 
 
+def xlogx(x):
+    """x ln x, vectorized, with 0 ln 0 = 0: every entropy's one log path."""
+    return x * np.log(np.maximum(x, _TINY))
+
+
 def entropy(d: FieldDistribution) -> float:
     """Differential entropy -∫ p ln p db in nats, with 0 ln 0 = 0."""
-    return -d.grid.integrate(xlogy(d.density, d.density))
+    return -d.grid.integrate(xlogx(d.density))
 
 
 def mean(d: FieldDistribution) -> float:
@@ -219,7 +226,7 @@ def variance(d: FieldDistribution) -> float:
 
 def binary_entropy(q):
     """Entropy in nats of a Bernoulli(q) outcome, vectorized, 0 ln 0 = 0."""
-    return -(xlogy(q, q) + xlogy(1.0 - q, 1.0 - q))
+    return -(xlogx(q) + xlogx(1.0 - q))
 
 
 def mutual_information(d: FieldDistribution, p: RamseyParams) -> float:
@@ -234,7 +241,7 @@ def mutual_information(d: FieldDistribution, p: RamseyParams) -> float:
     q = d.grid.trapz_weights * d.density
     p0 = float(q @ l0)
     p1 = float(q @ (1.0 - l0))
-    h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+    h_x = -(xlogx(p0) + xlogx(p1))
     h_x_given_b = float(q @ binary_entropy(l0))
     return h_x - h_x_given_b
 

@@ -44,7 +44,7 @@ from .bayes import (
     mutual_information,
 )
 from .fourier import (
-    ALPHA_TERM_CAP,
+    ALPHA_J_LIMIT,
     TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
@@ -284,10 +284,8 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     j_max = cfg["j_max"]
     if j_max < 1:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
-    # coefficient j's series stops only past m = 4(j+1)^2, inside the term cap
-    j_limit = math.isqrt((ALPHA_TERM_CAP - 1) // 4) - 1
-    if j_max > j_limit:
-        raise ConfigError(f"key 'j_max': require <= {j_limit}, got {j_max}")
+    if j_max > ALPHA_J_LIMIT:
+        raise ConfigError(f"key 'j_max': require <= {ALPHA_J_LIMIT}, got {j_max}")
     try:
         closed = alpha_series_closed(j_max)
     except TruncationNotConverged as exc:
@@ -309,13 +307,40 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     return {"alpha_validation.csv": (header, rows)}, failure
 
 
+def _kpe_outcome_limit(cfg: dict) -> int:
+    """Outcomes whose rows ``kpe-check`` can judge.
+
+    Row step s (after outcome s - 1) counts while its halving tau =
+    kpe_tau0 / 2^(s-1) is at least tau_min and the window holds a whole
+    number >= 1 of its fringe periods pi / tau; past that the grid no
+    longer resolves the reduction claim.  A step that fails fails for
+    every later one, since tau only halves.
+    """
+    window = cfg["b_max"] - cfg["b_min"]
+    limit = 0
+    tau = 0.5 * cfg["kpe_tau0"]
+    while tau >= cfg["tau_min"]:
+        periods = window * tau / math.pi
+        if round(periods) < 1 or abs(periods - round(periods)) > 1e-9:
+            break
+        limit += 1
+        tau *= 0.5
+    return limit
+
+
 def cmd_kpe_check(cfg: dict) -> tuple[dict, str | None]:
     """Halving-schedule vs myopic argmax along a scripted trajectory."""
-    rows = compare_kpe_to_myopic(cfg["outcomes"], _policy_config(cfg, "myopic_entropy"), _grid(cfg))
+    policy, grid = _policy_config(cfg, "myopic_entropy"), _grid(cfg)
+    limit = _kpe_outcome_limit(cfg)
+    if len(cfg["outcomes"]) > limit:
+        raise ConfigError(
+            f"key 'outcomes': require at most {limit} outcomes, got {len(cfg['outcomes'])}"
+            f" (past step {limit + 1} the halving tau is below tau_min or its fringe"
+            " period does not divide the window)"
+        )
+    rows = compare_kpe_to_myopic(cfg["outcomes"], policy, grid)
     header = [f.name for f in dataclasses.fields(KpeCheckRow)]
-    diverged = [
-        r.step for r in rows if 2 <= r.step <= 6 and max(r.tau_cell_delta, r.theta_cell_delta) > 1
-    ]
+    diverged = [r.step for r in rows if max(r.tau_cell_delta, r.theta_cell_delta) > 1]
     failure = None
     if diverged:
         failure = f"kpe-check: predictions diverge by more than one cell at steps {diverged}"

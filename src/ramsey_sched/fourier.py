@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +46,9 @@ _SERIES_STOP = 1e-15
 _SERIES_CONVERGED = 1e-12
 # Default term cap of alpha_series_closed, which needs term_cap >= j_max + 10.
 ALPHA_TERM_CAP = 600_000
+# Highest j the default cap serves: coefficient j's stop rule starts only
+# past m = 4(j+1)^2 (see _closed_coefficient), which must be inside the cap.
+ALPHA_J_LIMIT = math.isqrt((ALPHA_TERM_CAP - 1) // 4) - 1
 
 # Terms per chunk of the closed series: its five 128 KB work buffers
 # stay in a 2 MB L2 cache.
@@ -308,7 +310,6 @@ def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarra
     return coeffs
 
 
-@lru_cache(maxsize=1024)
 def contrast_entropy_series(contrast: float, k: int) -> tuple[np.ndarray, float]:
     """Coefficients a_0..a_k of the outcome-entropy profile at contrast C,
     and the sum of the |a_j| it leaves out.
@@ -337,8 +338,7 @@ def contrast_entropy_series(contrast: float, k: int) -> tuple[np.ndarray, float]
 
     and the truncated profile is within tail of the full one at every
     phase.  Returns the read-only array a_0..a_k and tail; each value is
-    within ``CONTRAST_SERIES_ERR`` of the exact one.  Results are cached
-    per (contrast, k) on first use.
+    within ``CONTRAST_SERIES_ERR`` of the exact one.
     """
     if not 0.0 <= contrast <= 1.0:
         raise ValueError(f"require contrast in [0, 1], got {contrast}")

@@ -43,12 +43,8 @@ cell by cell, up to float roundoff:
   trial loop calls with every myopic trial's posterior).
 - The cosine term can round to 1 + 2^-52 in magnitude, so l0 is clamped
   into [0, 1] before l1 = 1 - l0 is taken, and p0 into [0, q0] (a
-  posterior on one grid point has p0 = l0 there).  l ln l is then
-  l * ln(max(l, tiny)) with ``np.log``: that is l ln l for every l the
-  block holds (no nonzero one is below 2^-54), exactly 0 where an
-  outcome is certain (l = 0, possible only at T = inf), and about four
-  times faster than ``xlogy``.  (numpy's vectorised log and the C
-  library log that ``xlogy`` calls can differ in the last bit.)
+  posterior on one grid point has p0 = l0 there).
+- Every l ln l is ``bayes.xlogx``; the block forms it in place.
 
 The myopic chooser builds only the tau rows that can hold the best cell
 (``myopic_choices``), and finds them with a Fourier screen.  With
@@ -119,15 +115,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import xlogy
 
 from .bayes import (
     FieldDistribution,
     FieldGrid,
     RamseyParams,
     TWO_PI,
+    _TINY,
     bayes_update,
     uniform_distribution,
+    xlogx,
 )
 from .fourier import CONTRAST_SERIES_ERR, contrast_entropy_series
 
@@ -137,9 +134,6 @@ POLICY_KINDS = ("random", "kpe", "variance_min", "myopic_entropy")
 TIE_TOL = 1e-9
 
 _EV_MASS_FLOOR = 1e-300
-
-# ln is taken of max(l, _TINY), so that l ln l reads 0 at l = 0.
-_TINY = np.finfo(float).tiny
 
 # A tau row is skipped only if its MI bound is below the best score by
 # more than TIE_TOL plus this allowance for rounding in the bound.
@@ -322,7 +316,7 @@ def _mi_matrix(
         l0 += 0.5
         np.clip(l0, 0.0, 1.0, out=l0)
         np.subtract(1.0, l0, out=l1)
-        # xlx = l0 ln l0 + l1 ln l1; l0 is spent once its term is in xlx
+        # xlx = xlogx(l0) + xlogx(l1) in place; l0 is spent once its term is in xlx
         np.maximum(l0, _TINY, out=xlx)
         np.log(xlx, out=xlx)
         xlx *= l0
@@ -335,7 +329,7 @@ def _mi_matrix(
             p0 = 0.5 * q0 + half_c * (cos_c * float(q @ c) - sin_c * float(q @ s))
             np.clip(p0, 0.0, q0, out=p0)
             p1 = q0 - p0
-            h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+            h_x = -(xlogx(p0) + xlogx(p1))
             out[r, i, cols] = np.where(need[r, i, cols], h_x + xlx @ q, -np.inf)
     return _full_theta(out, cfg)
 
@@ -411,7 +405,7 @@ def _screen(
     q_u = np.cos(thetas) * q_c - np.sin(thetas) * q_s
     p0 = np.clip(0.5 * q0 + half_c * q_u, 0.0, q0)
     p1 = q0 - p0
-    h_x = -(xlogy(p0, p0) + xlogy(p1, p1))
+    h_x = -(xlogx(p0) + xlogx(p1))
     est = h_x - a[0, :, None] * q0 - (a[1:, None, :, None] * re).sum(axis=0)
     width = q0[:, :, 0] * (tail + (k + 2) * CONTRAST_SERIES_ERR)
     # l0 l1 = 1/4 - half_c^2 u^2, where u^2 = (1 + cos(4 tau b + 2 theta)) / 2
@@ -424,7 +418,7 @@ def _screen(
     var = hc2 * np.maximum(q0 * q_uu - q_u * q_u, 0.0)
     pp = p0 * p1
     with np.errstate(divide="ignore", invalid="ignore"):
-        chi2 = np.where(pp > 0.0, q0 * np.log1p(var / pp) - xlogy(q0, q0), np.inf)
+        chi2 = np.where(pp > 0.0, q0 * np.log1p(var / pp) - xlogx(q0), np.inf)
     return np.minimum(topsoe, chi2).max(axis=-1), est, width
 
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import xlogy
 
 from ramsey_sched.bayes import (
     FieldDistribution,
@@ -23,6 +25,7 @@ from ramsey_sched.bayes import (
     spike_distribution,
     uniform_distribution,
     variance,
+    xlogx,
 )
 from ramsey_sched.fourier import alpha_series_quadrature
 
@@ -241,6 +244,21 @@ class TestBayesUpdate:
         for seed in range(5):
             d = bayes_update(d, _random_params(seed), seed % 2)
         assert GRID.integrate(d.density) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestXlogx:
+    @pytest.mark.parametrize("top", [1.0, 5.0])
+    def test_within_two_ulp_of_xlogy(self, top):
+        rng = np.random.default_rng(int(top))
+        x = top * (1.0 - rng.random(100_000))  # in (0, top]
+        ref = xlogy(x, x)
+        assert np.all(np.abs(xlogx(x) - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_exact_zero_at_zero_and_one_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xlogx(0.0) == 0.0 and xlogx(1.0) == 0.0
+            assert np.array_equal(xlogx(np.array([0.0, 1.0, 0.0])), np.zeros(3))
 
 
 class TestEntropyVariance:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -234,17 +235,28 @@ class TestExitCodes:
         assert not list(out.iterdir())
 
 
+def _python_with_package(*args):
+    """Run a fresh interpreter that imports this ramsey_sched."""
+    src = str(Path(ramsey_sched.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self):
-        src = str(Path(ramsey_sched.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ramsey_sched.cli", "--version"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _python_with_package("-m", "ramsey_sched.cli", "--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == ramsey_sched.__version__
+
+    def test_cli_imports_without_scipy(self):
+        # the runtime needs numpy alone; scipy is a test dependency
+        proc = _python_with_package("-c", "import sys, ramsey_sched.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestMiSurface:
@@ -430,6 +442,36 @@ class TestKpeCheck:
         for line in lines[1:]:
             parts = line.split(",")
             assert int(parts[5]) == 0 and int(parts[6]) == 0
+
+    def test_every_six_outcome_string_passes_at_the_defaults(self):
+        # steps 2-7 are the ones the default 16 pi window resolves
+        cfg = resolve_config("kpe-check", None)
+        for outcomes in itertools.product((0, 1), repeat=6):
+            artifacts, failure = cli.cmd_kpe_check({**cfg, "outcomes": list(outcomes)})
+            assert failure is None, outcomes
+            assert [r[0] for r in artifacts["kpe_check.csv"][1]] == [2, 3, 4, 5, 6, 7]
+
+    def test_seven_outcomes_are_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("the trajectory ran past the outcome limit")
+
+        monkeypatch.setattr(cli, "compare_kpe_to_myopic", must_not_run)
+        cfg = _write(tmp_path, "k.cfg", "outcomes = 0,0,0,0,0,0,0\n")
+        out = tmp_path / "out"
+        assert main(["kpe-check", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: key 'outcomes': require at most 6 outcomes, got 7"
+        )
+        assert not list(out.iterdir())
+
+    def test_outcome_limit_follows_the_window_and_tau_min(self):
+        cfg = resolve_config("kpe-check", None)
+        assert cli._kpe_outcome_limit(cfg) == 6
+        # a 32 pi window resolves one more halving; tau_min = 1/8 cuts at tau = 1/8
+        assert cli._kpe_outcome_limit({**cfg, "b_max": 24.0 * math.pi}) == 7
+        assert cli._kpe_outcome_limit({**cfg, "tau_min": 0.125}) == 5
+        # a window that holds no whole number of tau = 2 fringes
+        assert cli._kpe_outcome_limit({**cfg, "b_max": 8.0 * math.pi + 0.1}) == 0
 
     def test_small_coherence_reports_divergence(self, tmp_path, capsys):
         cfg = _write(tmp_path, "k.cfg", "coherence_time = 4.0\nn_points = 2048\n")
