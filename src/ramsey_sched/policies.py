@@ -76,31 +76,17 @@ tail = a_0 - h((1 + C)/2) - sum_{j<=K} |a_j|.  Each of the K + 1
 coefficients and the tail is within e = ``CONTRAST_SERIES_ERR`` of its
 exact value, so each cell's estimate is within q0 (tail + (K + 2) e) of
 its exact score, plus float rounding in the estimate and in the kernel,
-which ``_BOUND_MARGIN`` covers.
+which ``_ROUNDING_MARGIN`` covers.
 
-The same moments give each cell's MI two closed-form upper bounds:
-
-- H(X) - 4 ln2 sum_b q l0 l1, since h(l) >= 4 ln2 l(1 - l) (Topsoe,
-  "Bounds for entropy and divergence for distributions over a
-  two-element set", 2001);
-- ln(1 + Var_q(l0) / (p0 p1)), since KL <= ln(1 + chi^2) (Sason and
-  Verdu, "f-Divergence Inequalities", 2016) and ln is concave (Jensen);
-  it is +inf where p0 p1 = 0.
-
-The trapezoid weights are positive, so both hold on the grid, not only
-in the continuum, and both need only M_1 and q against c and s: the
-moments of a k = 1 screen.  So one pass (``_screen``) gives every row
-its bound and a k = 1 estimate.  A cell's upper value is the smaller of
-its row's bound and its upper estimate, and the cutoff is the best lower
-estimate less ``TIE_TOL`` less ``_BOUND_MARGIN``.  The chooser runs the
-k = 1 pass over all rows, screens at K terms each posterior's row of
-highest upper value, then every row where some cell's upper value still
-reaches the cutoff, and builds a cell only if its upper value reaches
-the final cutoff.  The
-margin is needed because the bounds are tight where every likelihood is
-0, 1/2 or 1 (a posterior on one grid point, or a contrast near 0): there
-the bound and the exact score agree to rounding, and the bound can come
-out 1e-16 below.  A kept row is built by the same kernel as the full
+A cell's upper value is its estimate plus its error bar, and the cutoff
+is the best lower estimate less ``TIE_TOL`` less ``_ROUNDING_MARGIN``.
+The chooser screens every row at k = 1, then at K terms every row where
+some cell's upper value reaches the cutoff, and builds a cell only if
+its upper value reaches the cutoff of the two passes together.  The
+margin covers float rounding in the estimates and in the kernel's
+scores, which the error bar leaves out; the bar's series part is tight
+where every likelihood is 0, 1/2 or 1 (a posterior on one grid point, or
+a contrast near 0).  A kept row is built by the same kernel as the full
 matrix, over only the theta columns it keeps; a block product over fewer
 theta rows can differ from the full block's in the last bits, so the
 built scores match the full matrix's to float roundoff, and the chosen
@@ -121,6 +107,7 @@ from .bayes import (
     FieldGrid,
     RamseyParams,
     TWO_PI,
+    ZERO_EVIDENCE_FLOOR,
     _TINY,
     bayes_update,
     uniform_distribution,
@@ -133,13 +120,10 @@ POLICY_KINDS = ("random", "kpe", "variance_min", "myopic_entropy")
 # Cells whose objective is within this of the best count as tied.
 TIE_TOL = 1e-9
 
-_EV_MASS_FLOOR = 1e-300
-
-# A tau row is skipped only if its MI bound is below the best score by
-# more than TIE_TOL plus this allowance for rounding in the bound.
-_BOUND_MARGIN = 1e-12
-
-_FOUR_LN2 = 4.0 * math.log(2.0)
+# A cell is skipped only if its upper estimate is below the best lower
+# estimate by more than TIE_TOL plus this allowance, on each side, for
+# rounding in the estimates and in the kernel.
+_ROUNDING_MARGIN = 1e-12
 
 # Fourier terms of the outcome entropy the myopic screen keeps.
 _SCREEN_TERMS = 4
@@ -351,7 +335,7 @@ def _moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The harmonic table, q = trapezoid weight x density of each posterior,
     (posterior, N), and q against every table row, (4, tau, posterior):
-    one product over the whole table, shared by every screen round."""
+    one product over the whole table, shared by both screen passes."""
     grid = _shared_grid(ds)
     table = _harmonic_table(grid, cfg)
     qs = np.stack([grid.trapz_weights * d.density for d in ds])
@@ -360,10 +344,10 @@ def _moments(
 
 def _screen(
     moments: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: PolicyConfig, rows: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form bound and k-term Fourier estimates (k >= 1) of the MI
-    in the given tau rows (indices into the tau search grid), from their
-    2k + 2 harmonic moments (see the module docstring).
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-term Fourier estimates (k >= 1) of the MI in the given tau rows
+    (indices into the tau search grid), from their 2k + 2 harmonic
+    moments (see the module docstring).
 
     ``moments`` is ``_moments(ds, cfg)``: the first four moments of every
     row are read from its product, not formed again.  Only the harmonics
@@ -371,10 +355,9 @@ def _screen(
     powers of the table's cos + i sin 4 tau b in one (k, N) buffer, and
     each posterior's moments are one product with that buffer.
 
-    Returns ``bound``, (posterior, row), the largest of the row's cell
-    bounds; ``est``, (posterior, row, scored theta); and ``width``,
+    Returns ``est``, (posterior, row, scored theta), and ``width``,
     (posterior, row): each exact score lies within ``width`` plus rounding
-    (below ``_BOUND_MARGIN``) of its estimate.
+    (below ``_ROUNDING_MARGIN``) of its estimate.
     """
     table, qs, head = moments
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
@@ -408,18 +391,7 @@ def _screen(
     h_x = -(xlogx(p0) + xlogx(p1))
     est = h_x - a[0, :, None] * q0 - (a[1:, None, :, None] * re).sum(axis=0)
     width = q0[:, :, 0] * (tail + (k + 2) * CONTRAST_SERIES_ERR)
-    # l0 l1 = 1/4 - half_c^2 u^2, where u^2 = (1 + cos(4 tau b + 2 theta)) / 2
-    q_uu = 0.5 * (q0 + re[0])
-    hc2 = half_c * half_c
-    topsoe = h_x - _FOUR_LN2 * (0.25 * q0 - hc2 * q_uu)
-    # chi^2 of l against p, averaged over the normalised posterior; the
-    # q0 factor and -q0 ln q0 carry the bound to a density whose
-    # trapezoid mass is not exactly 1, as the kernel's H(X) does
-    var = hc2 * np.maximum(q0 * q_uu - q_u * q_u, 0.0)
-    pp = p0 * p1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chi2 = np.where(pp > 0.0, q0 * np.log1p(var / pp) - xlogx(q0), np.inf)
-    return np.minimum(topsoe, chi2).max(axis=-1), est, width
+    return est, width
 
 
 def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
@@ -453,7 +425,7 @@ def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig
     moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
     out = np.zeros((len(ds), len(taus), len(thetas)))
     for m0, m1, m2 in (moments, tot - moments):
-        ok = m0 > _EV_MASS_FLOOR
+        ok = m0 > ZERO_EVIDENCE_FLOOR
         mm = np.where(ok, m0, 1.0)
         var = np.maximum(m2 / mm - (m1 / mm) ** 2, 0.0)
         out += np.where(ok, m0 * var, 0.0)
@@ -504,37 +476,29 @@ def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[R
     that the Fourier screen cannot rule out.
 
     The posteriors' first four moments against every tau are formed once
-    (``_moments``) and read by every screen round.  A k = 1 pass over
-    every row gives each posterior's row its
-    closed-form bound and each cell a first estimate; a cell's upper
-    value is the smaller of its row's bound and its upper estimate, and
-    the posterior's cutoff is its best lower estimate less ``TIE_TOL``
-    less ``_BOUND_MARGIN``.  The screen then takes, at ``_SCREEN_TERMS``
-    terms, each posterior's row of highest upper value, then every row
-    where some cell's upper value still reaches some posterior's cutoff;
-    each screened row tightens the upper values of its cells and its
-    lower value, for every posterior.  A posterior's cell is built only
-    if its upper value reaches the cutoff.  Every cell within
-    ``TIE_TOL`` of the optimum is then built by ``_mi_matrix``, so the
-    chosen cells are those of the full matrix.
+    (``_moments``) and read by both screen passes.  A k = 1 pass over
+    every row gives each cell an estimate and an error bar: its upper
+    value is the estimate plus the error bar, and the posterior's cutoff
+    is its best lower value (a row's best estimate less the error bar)
+    less ``TIE_TOL`` less ``_ROUNDING_MARGIN``.  Every row where some
+    cell's upper value reaches some posterior's cutoff is then screened
+    at ``_SCREEN_TERMS`` terms, which tightens the upper values of its
+    cells and its lower value, for every posterior.  A posterior's cell
+    is built only if its upper value reaches the new cutoff.  Every cell
+    within ``TIE_TOL`` of the optimum is then built by ``_mi_matrix``,
+    so the chosen cells are those of the full matrix.
     """
-    taus = tau_search_grid(cfg)
     moments = _moments(ds, cfg)
-    bound, est, width = _screen(moments, cfg, np.arange(len(taus)), 1)
-    lower = est.max(axis=2) - width - _BOUND_MARGIN
-    upper = np.minimum(bound[:, :, None], est + width[:, :, None])
-    screened = np.zeros(len(taus), dtype=bool)
-    rows = np.unique(upper.max(axis=2).argmax(axis=1))
-    while rows.size:
-        _, est, width = _screen(moments, cfg, rows, _SCREEN_TERMS)
-        lower[:, rows] = np.maximum(lower[:, rows], est.max(axis=2) - width - _BOUND_MARGIN)
-        upper[:, rows] = np.minimum(upper[:, rows], est + width[:, :, None])
-        screened[rows] = True
-        cutoff = lower.max(axis=1) - TIE_TOL - _BOUND_MARGIN
-        need = upper >= cutoff[:, None, None]
-        # the cutoff only rises, so a third round would find no row
-        rows = np.flatnonzero((need.any(axis=2) & ~screened).any(axis=0))
-    return [_best_params(m, cfg) for m in _mi_matrix(ds, cfg, need)]
+    est, width = _screen(moments, cfg, np.arange(cfg.tau_grid_size), 1)
+    lower = est.max(axis=2) - width - _ROUNDING_MARGIN
+    upper = est + width[:, :, None]
+    cutoff = lower.max(axis=1) - TIE_TOL - _ROUNDING_MARGIN
+    rows = np.flatnonzero((upper >= cutoff[:, None, None]).any(axis=(0, 2)))
+    est, width = _screen(moments, cfg, rows, _SCREEN_TERMS)
+    lower[:, rows] = np.maximum(lower[:, rows], est.max(axis=2) - width - _ROUNDING_MARGIN)
+    upper[:, rows] = np.minimum(upper[:, rows], est + width[:, :, None])
+    cutoff = lower.max(axis=1) - TIE_TOL - _ROUNDING_MARGIN
+    return [_best_params(m, cfg) for m in _mi_matrix(ds, cfg, upper >= cutoff[:, None, None])]
 
 
 def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:

@@ -82,6 +82,8 @@ class SimConfig:
             raise ValueError(f"require n_measurements >= 0, got {self.n_measurements}")
         if self.n_realizations < 1:
             raise ValueError(f"require n_realizations >= 1, got {self.n_realizations}")
+        if self.master_seed < 0:
+            raise ValueError(f"require master_seed >= 0, got {self.master_seed}")
         check_prior_coverage(self.grid, self.prior_mean, self.prior_std)
         if self.true_field is not None and not self.grid.b_min <= self.true_field <= self.grid.b_max:
             raise ValueError(

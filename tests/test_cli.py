@@ -226,6 +226,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: require {named}\n"
         assert not list(out.iterdir())
 
+    @pytest.mark.parametrize("args, line", [
+        (["--seed", "-1"], ""),
+        ([], "master_seed = -1\n"),
+    ])
+    def test_negative_master_seed_is_2(self, tmp_path, capsys, args, line):
+        path = _write(tmp_path, "c.cfg", line)
+        out = tmp_path / "out"
+        assert main(["compare", "--config", path, *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: require master_seed >= 0, got -1\n"
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("size", [0, -3])
     def test_mi_surface_needs_a_tau(self, tmp_path, capsys, size):
         path = _write(tmp_path, "c.cfg", f"tau_grid_size = {size}\n")

@@ -7,6 +7,7 @@ import pytest
 
 from ramsey_sched import cli, policies
 from ramsey_sched.bayes import (
+    ZERO_EVIDENCE_FLOOR,
     FieldDistribution,
     FieldGrid,
     RamseyParams,
@@ -20,7 +21,7 @@ from ramsey_sched.bayes import (
 )
 from ramsey_sched.fourier import contrast_entropy_series
 from ramsey_sched.policies import (
-    _BOUND_MARGIN,
+    _ROUNDING_MARGIN,
     _SCREEN_TERMS,
     TIE_TOL,
     PolicyConfig,
@@ -484,47 +485,18 @@ def _myopic_trajectory(grid, cfg, seed, steps):
 
 
 def _assert_screen_covers(ds, cfg):
-    # at k = 1 and at k = _SCREEN_TERMS: the bound covers every row and
-    # every cell's exact score lies within its estimate's error bar;
-    # returns the k = _SCREEN_TERMS bound and error bars
+    # at k = 1 and at k = _SCREEN_TERMS every cell's exact score lies
+    # within its estimate's error bar; returns the k = _SCREEN_TERMS
+    # error bars
     exact = _mi_matrix(ds, cfg)
     for k in (1, _SCREEN_TERMS):
-        bound, est, width = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), k)
-        assert bound.shape == width.shape == (len(ds), cfg.tau_grid_size)
-        assert np.all(bound >= exact.max(axis=2) - _BOUND_MARGIN)
-        assert np.all(np.abs(exact[:, :, : est.shape[2]] - est) <= width[:, :, None] + _BOUND_MARGIN)
-    return bound, width
+        est, width = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), k)
+        assert width.shape == (len(ds), cfg.tau_grid_size)
+        assert np.all(np.abs(exact[:, :, : est.shape[2]] - est) <= width[:, :, None] + _ROUNDING_MARGIN)
+    return width
 
 
 class TestBoundPrunedChoice:
-    @pytest.mark.parametrize("theta_grid_size", [12, 9])
-    @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
-    def test_bound_covers_every_cell(self, coherence_time, theta_grid_size):
-        cfg = PolicyConfig(
-            tau_min=0.05, tau_max=4.0, tau_grid_size=16,
-            theta_grid_size=theta_grid_size, coherence_time=coherence_time,
-        )
-        # one-point posteriors carry no information: their bound is 0 and
-        # the exact score is 0 up to rounding, on either side
-        spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 39)]
-        ds = _random_posteriors(GRID, coherence_time, 7, 6) + spikes
-        _assert_screen_covers(ds + [uniform_distribution(GRID)], cfg)
-
-    def test_bound_on_the_rounding_grid(self):
-        grid, cfg, _, spike = _rounding_case()
-        _assert_screen_covers(_distinct_posteriors(grid, math.inf) + [spike], cfg)
-
-    def test_bound_is_tight_where_outcomes_are_certain(self):
-        # T = inf, mass 1/2 on b = 0 and b = pi/4: at tau = 2, theta = 0
-        # the outcome is certain at both points, so MI = H(X) = ln 2 and
-        # both bounds equal it
-        grid, cfg, _, _ = _rounding_case()
-        d = _two_point_posterior(grid, 0.0, math.pi / 4.0)
-        row = _mi_matrix([d], cfg)[0, -1]
-        assert row.max() == pytest.approx(math.log(2.0), abs=1e-15)
-        bound, _ = _assert_screen_covers([d], cfg)
-        assert bound[0, -1] == pytest.approx(math.log(2.0), abs=1e-15)
-
     @pytest.mark.parametrize("n_points", [2**11, 2**12])
     @pytest.mark.parametrize("coherence_time", [10.0, math.inf])
     def test_pruned_choice_equals_full_scan(self, n_points, coherence_time):
@@ -533,16 +505,11 @@ class TestBoundPrunedChoice:
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
             theta_grid_size=16, coherence_time=coherence_time,
         )
-        kept = []
         for seed in range(5):
             for d in _myopic_trajectory(grid, cfg, seed, 10):
                 full = _mi_matrix([d], cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
-                bounds = _screen(_moments([d], cfg), cfg, np.arange(cfg.tau_grid_size), 1)[0][0]
-                kept.append(np.mean(bounds >= full.max() - TIE_TOL - _BOUND_MARGIN))
-        # the bound rules out most rows (the point of pruning)
-        assert np.mean(kept) < 0.5
 
     def test_lockstep_choice_equals_each_posterior_alone(self):
         grid = FieldGrid(-20.0, 20.0, 2**11)
@@ -616,10 +583,11 @@ class TestBoundPrunedChoice:
     @pytest.mark.parametrize("theta_grid_size", [16, 9])
     @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
     def test_margin_covers_bounds_tight_to_rounding(self, coherence_time, theta_grid_size, monkeypatch):
-        # with TIE_TOL = 0 only _BOUND_MARGIN allows for rounding, on
-        # posteriors whose bounds are tight to rounding: one-point ones
-        # (MI 0 up to rounding, either side) and two-point ones, whose
-        # likelihoods at T = inf reach 0, 1/2 and 1
+        # with TIE_TOL = 0 only _ROUNDING_MARGIN and the error bars'
+        # coefficient allowance cover rounding, on posteriors whose error
+        # bars are tight: one-point ones (MI 0 up to rounding, either
+        # side) and two-point ones, whose likelihoods at T = inf reach 0,
+        # 1/2 and 1
         cfg = PolicyConfig(
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
             theta_grid_size=theta_grid_size, coherence_time=coherence_time,
@@ -677,7 +645,7 @@ class TestFourierScreen:
         # at T = 2 the longest tau has contrast e^-2, where K = 4 terms
         # leave a tail below TIE_TOL
         cfg = PolicyConfig(tau_min=0.05, tau_max=4.0, tau_grid_size=8, coherence_time=2.0)
-        _, width = _assert_screen_covers(_random_posteriors(GRID, 2.0, 5, 2), cfg)
+        width = _assert_screen_covers(_random_posteriors(GRID, 2.0, 5, 2), cfg)
         assert np.all(width[:, -1] < TIE_TOL)
         assert np.all(width[:, 0] > TIE_TOL)
 
@@ -710,7 +678,7 @@ class TestFourierScreen:
             theta_grid_size=12, coherence_time=10.0,
         )
         ds = _random_posteriors(GRID, 10.0, 19, 2) + [_two_point_posterior(GRID, 0.0, 1.0)]
-        _, est, _ = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), _SCREEN_TERMS)
+        est, _ = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), _SCREEN_TERMS)
         contrast = policies._contrasts(cfg)
         a, _ = _series_table(cfg, _SCREEN_TERMS)
         thetas = theta_search_grid(cfg)[:6]
@@ -735,7 +703,7 @@ class TestFourierScreen:
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
             theta_grid_size=16, coherence_time=coherence_time,
         )
-        built, cells, screened = [], [], []
+        built, cells, screens = [], [], []
         full_matrix, full_screen = policies._mi_matrix, policies._screen
 
         def counting(ds, cfg, need=None):
@@ -744,8 +712,7 @@ class TestFourierScreen:
             return full_matrix(ds, cfg, need)
 
         def counting_screen(moments, cfg, taus, k):
-            if k == _SCREEN_TERMS:
-                screened.append(len(taus) / cfg.tau_grid_size)
+            screens.append((k, taus.tolist()))
             return full_screen(moments, cfg, taus, k)
 
         monkeypatch.setattr(policies, "_mi_matrix", counting)
@@ -755,12 +722,14 @@ class TestFourierScreen:
                 full = full_matrix([d], cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
-        # the screen builds few rows (the point of it); at finite T the
-        # k = 1 pass leaves few rows to screen at K terms (the bounds
-        # alone leave 37-42%), at T = inf its error bar of about 0.05 q0
-        # rules out little
+        # the screen builds few rows (the point of it); every decision
+        # screens every row at k = 1, then some of them at K terms
         assert np.mean(built) < 0.25
-        assert sum(screened) / len(built) < (0.45 if math.isinf(coherence_time) else 0.3)
+        every = list(range(cfg.tau_grid_size))
+        assert len(screens) == 2 * len(built)
+        for (k1, rows1), (k, rows) in zip(screens[::2], screens[1::2]):
+            assert (k1, rows1) == (1, every)
+            assert k == _SCREEN_TERMS and 0 < len(rows) <= len(every)
         # at finite T the K-term error bars leave about one cell of each
         # built row (12.5% of its cells); at T = inf about half of them
         if math.isfinite(coherence_time):
@@ -785,7 +754,7 @@ def _per_tau_variance_matrix(d, cfg):
     moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
     out = np.zeros((len(taus), len(thetas)))
     for m0, m1, m2 in (moments, tot - moments):
-        ok = m0 > policies._EV_MASS_FLOOR
+        ok = m0 > ZERO_EVIDENCE_FLOOR
         mm = np.where(ok, m0, 1.0)
         var = np.maximum(m2 / mm - (m1 / mm) ** 2, 0.0)
         out += np.where(ok, m0 * var, 0.0)
@@ -890,14 +859,129 @@ class TestPinnedMyopicCells:
     # compare cells before any row was pruned); cell indices hold across
     # platforms where float bytes may not
     KPE_CHECK = [(56, 0), (49, 0), (42, 0), (35, 0), (28, 0)]
-    COMPARE_TRIAL_0 = [
-        (36, 16), (39, 29), (43, 22), (47, 14), (35, 31),
-        (50, 24), (53, 4), (43, 8), (56, 2), (57, 11),
-        (58, 7), (58, 1), (60, 12), (61, 20), (61, 24),
-        (54, 26), (61, 28), (63, 1), (63, 4), (63, 8),
-        (63, 4), (63, 2), (63, 31), (63, 28), (63, 31),
-        (63, 29), (63, 31), (63, 29), (63, 31), (63, 1),
-    ]
+    # every cell of the standard experiment (all trials, all steps) for
+    # both greedy kinds, recorded while the screen still had its row
+    # bounds and two K-term rounds; both kinds run their trials in
+    # lockstep, so these pin the batched choosers
+    COMPARE = {
+        "myopic_entropy": [
+            [
+                (36, 16), (39, 29), (43, 22), (47, 14), (35, 31), (50, 24),
+                (53, 4), (43, 8), (56, 2), (57, 11), (58, 7), (58, 1),
+                (60, 12), (61, 20), (61, 24), (54, 26), (61, 28), (63, 1),
+                (63, 4), (63, 8), (63, 4), (63, 2), (63, 31), (63, 28),
+                (63, 31), (63, 29), (63, 31), (63, 29), (63, 31), (63, 1),
+            ],
+            [
+                (36, 16), (39, 29), (43, 15), (46, 5), (50, 11), (43, 6),
+                (53, 30), (55, 31), (57, 23), (58, 15), (51, 7), (60, 31),
+                (61, 18), (61, 23), (61, 27), (61, 0), (61, 3), (54, 14),
+                (61, 6), (62, 5), (40, 3), (63, 2), (63, 31), (63, 2),
+                (63, 31), (63, 1), (63, 31), (63, 1), (63, 31), (63, 29),
+            ],
+            [
+                (36, 16), (39, 29), (43, 22), (47, 14), (35, 31), (50, 24),
+                (53, 17), (55, 8), (57, 15), (58, 8), (58, 2), (51, 20),
+                (60, 27), (61, 20), (61, 16), (62, 17), (62, 13), (63, 14),
+                (63, 10), (63, 7), (63, 10), (63, 7), (63, 10), (63, 8),
+                (63, 10), (63, 12), (63, 14), (63, 17), (63, 20), (63, 16),
+            ],
+            [
+                (36, 16), (39, 29), (43, 15), (46, 5), (31, 11), (39, 18),
+                (31, 11), (50, 8), (52, 0), (54, 18), (57, 14), (49, 2),
+                (58, 23), (59, 28), (60, 30), (61, 18), (61, 22), (62, 7),
+                (63, 27), (63, 23), (52, 25), (63, 21), (63, 24), (63, 21),
+                (63, 18), (63, 15), (63, 12), (63, 16), (63, 13), (56, 27),
+            ],
+            [
+                (36, 16), (39, 3), (43, 10), (47, 26), (50, 7), (52, 9),
+                (55, 19), (38, 20), (57, 13), (58, 13), (59, 31), (60, 28),
+                (61, 14), (51, 28), (62, 0), (62, 28), (62, 24), (63, 17),
+                (63, 13), (63, 16), (63, 13), (63, 16), (63, 19), (63, 21),
+                (63, 24), (63, 21), (63, 19), (63, 17), (63, 15), (63, 14),
+            ],
+            [
+                (36, 16), (39, 3), (43, 17), (34, 23), (47, 15), (50, 14),
+                (53, 24), (45, 0), (55, 3), (57, 11), (58, 7), (59, 2),
+                (60, 17), (60, 12), (62, 20), (62, 24), (62, 28), (55, 27),
+                (63, 15), (63, 12), (63, 15), (63, 18), (63, 21), (63, 23),
+                (63, 20), (63, 18), (63, 20), (63, 18), (63, 16), (63, 14),
+            ],
+            [
+                (36, 16), (39, 3), (43, 17), (46, 27), (31, 21), (50, 13),
+                (53, 11), (55, 29), (37, 11), (57, 29), (58, 6), (51, 5),
+                (59, 15), (60, 1), (61, 6), (61, 2), (62, 14), (63, 23),
+                (63, 26), (63, 30), (56, 28), (55, 6), (56, 28), (63, 31),
+                (63, 27), (63, 24), (63, 21), (63, 24), (63, 27), (63, 24),
+            ],
+            [
+                (36, 16), (39, 3), (43, 10), (47, 26), (50, 30), (53, 2),
+                (44, 0), (55, 8), (57, 31), (58, 22), (59, 25), (60, 28),
+                (60, 1), (59, 7), (52, 0), (53, 29), (53, 28), (54, 27),
+                (52, 31), (60, 7), (61, 30), (61, 24), (61, 20), (61, 16),
+                (62, 18), (62, 14), (46, 26), (62, 12), (62, 9), (62, 12),
+            ],
+        ],
+        "variance_min": [
+            [
+                (32, 16), (34, 23), (38, 4), (40, 31), (28, 8), (29, 7),
+                (30, 28), (43, 21), (44, 14), (45, 21), (47, 0), (51, 28),
+                (51, 1), (37, 5), (52, 4), (56, 22), (56, 19), (43, 12),
+                (57, 19), (58, 19), (58, 22), (59, 22), (61, 1), (61, 4),
+                (62, 7), (62, 9), (63, 13), (63, 10), (63, 8), (57, 16),
+            ],
+            [
+                (32, 16), (34, 23), (38, 4), (40, 31), (42, 8), (47, 16),
+                (28, 6), (40, 7), (40, 12), (41, 16), (34, 24), (42, 26),
+                (43, 25), (48, 29), (48, 27), (52, 21), (54, 18), (41, 31),
+                (49, 26), (51, 4), (55, 1), (41, 0), (49, 24), (56, 20),
+                (56, 16), (58, 15), (58, 18), (58, 20), (62, 26), (63, 27),
+            ],
+            [
+                (32, 16), (34, 23), (37, 19), (41, 11), (43, 20), (46, 13),
+                (47, 19), (50, 14), (51, 8), (54, 12), (54, 8), (47, 19),
+                (58, 28), (27, 0), (55, 30), (57, 0), (57, 3), (57, 31),
+                (59, 22), (60, 24), (60, 27), (60, 24), (60, 26), (61, 20),
+                (62, 21), (62, 23), (62, 25), (55, 30), (62, 28), (62, 26),
+            ],
+            [
+                (32, 16), (34, 9), (38, 28), (39, 20), (31, 13), (42, 1),
+                (44, 16), (46, 28), (46, 0), (35, 4), (52, 7), (53, 20),
+                (55, 10), (55, 13), (57, 31), (46, 6), (57, 25), (58, 27),
+                (59, 26), (60, 21), (46, 26), (51, 13), (54, 1), (55, 11),
+                (45, 25), (51, 13), (58, 23), (60, 21), (60, 24), (60, 27),
+            ],
+            [
+                (32, 16), (34, 9), (37, 13), (42, 3), (43, 8), (44, 2),
+                (46, 23), (48, 8), (41, 13), (52, 2), (55, 24), (55, 21),
+                (55, 25), (48, 13), (48, 8), (48, 6), (48, 9), (51, 4),
+                (52, 11), (54, 27), (55, 15), (57, 7), (60, 18), (60, 16),
+                (63, 11), (31, 26), (60, 14), (61, 6), (63, 18), (63, 16),
+            ],
+            [
+                (32, 16), (34, 9), (38, 28), (40, 1), (42, 24), (47, 16),
+                (48, 7), (50, 20), (43, 3), (53, 8), (53, 11), (54, 31),
+                (54, 3), (54, 31), (55, 18), (57, 4), (61, 21), (57, 7),
+                (61, 27), (63, 21), (63, 24), (63, 21), (63, 24), (63, 21),
+                (63, 24), (63, 26), (63, 24), (63, 26), (30, 24), (63, 27),
+            ],
+            [
+                (32, 16), (34, 9), (38, 28), (39, 20), (31, 13), (31, 16),
+                (33, 11), (37, 23), (38, 1), (46, 26), (46, 30), (48, 14),
+                (49, 2), (55, 13), (56, 26), (49, 9), (57, 2), (58, 20),
+                (59, 5), (59, 2), (59, 5), (59, 8), (59, 11), (59, 8),
+                (59, 10), (44, 16), (63, 13), (63, 15), (63, 18), (63, 15),
+            ],
+            [
+                (32, 16), (34, 9), (37, 13), (42, 3), (43, 8), (44, 2),
+                (51, 30), (45, 5), (47, 27), (52, 29), (52, 1), (54, 23),
+                (52, 30), (53, 21), (60, 12), (60, 14), (60, 17), (60, 14),
+                (61, 15), (61, 12), (61, 15), (61, 17), (62, 11), (62, 8),
+                (62, 11), (62, 9), (62, 11), (62, 12), (62, 11), (62, 12),
+            ],
+        ],
+    }
+    COMPARE_TRIAL_0 = COMPARE["myopic_entropy"][0]
 
     @staticmethod
     def _cells(cfg, params):
@@ -918,6 +1002,14 @@ class TestPinnedMyopicCells:
         sim = replace(standard, policy=replace(standard.policy, kind="myopic_entropy"))
         records = run_trials(sim, [0])[0].records
         assert self._cells(sim.policy, [(r.tau, r.theta) for r in records]) == self.COMPARE_TRIAL_0
+
+    @pytest.mark.parametrize("kind", ["myopic_entropy", "variance_min"])
+    def test_default_compare_every_trial(self, kind):
+        standard = SimConfig()
+        sim = replace(standard, policy=replace(standard.policy, kind=kind))
+        trajectories = run_trials(sim, range(sim.n_realizations))
+        got = [self._cells(sim.policy, [(r.tau, r.theta) for r in t.records]) for t in trajectories]
+        assert got == self.COMPARE[kind]
 
 
 class TestKpeMyopicComparison:

@@ -64,6 +64,12 @@ class TestSimConfig:
     def test_true_field_on_grid_edge_is_accepted(self, true_field):
         assert _cfg(true_field=true_field).true_field == true_field
 
+    def test_master_seed_must_be_non_negative(self):
+        # rejected on construction, not later by the seed sequence
+        with pytest.raises(ValueError, match=r"require master_seed >= 0, got -1"):
+            _cfg(master_seed=-1)
+        assert _cfg(master_seed=0).master_seed == 0
+
 
 class TestSampleOutcome:
     def test_certain_zero(self):
