@@ -48,6 +48,7 @@ from .fourier import (
     TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
+    contrast_entropy_series,
 )
 from .policies import POLICY_KINDS, KpeCheckRow, PolicyConfig, compare_kpe_to_myopic
 from .simulate import SimConfig, check_prior_coverage, run_ensemble
@@ -280,7 +281,8 @@ def cmd_compare(cfg: dict) -> tuple[dict, str | None]:
 
 
 def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
-    """Closed-series coefficients against the quadrature oracle."""
+    """Closed-series coefficients against the quadrature oracle and the exact
+    alpha_j = -1/(j(4j^2 - 1)); each check states what must hold, so NaN fails."""
     j_max = cfg["j_max"]
     if j_max < 1:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
@@ -291,19 +293,22 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
     except TruncationNotConverged as exc:
         return {}, f"validate-alpha: {exc}"
     quad = alpha_series_quadrature(j_max)
+    exact, _ = contrast_entropy_series(1.0, j_max)
     rows = []
     ok = True
-    prev = None
+    prev = -math.inf
     for j in range(1, j_max + 1):
         cv = float(closed[j])
         qv = float(quad[j])
         diff = abs(cv - qv)
         rows.append((j, cv, qv, diff))
-        if diff > 1e-8 or cv >= 0.0 or (prev is not None and cv <= prev):
-            ok = False
+        ok = ok and diff <= 1e-8 and abs(cv - exact[j]) <= 1e-9 * -exact[j] and prev < cv < 0.0
         prev = cv
     header = ["j", "closed_value", "quadrature_value", "abs_diff"]
-    failure = None if ok else "validate-alpha: sign, monotonicity or 1e-8 agreement failed"
+    failure = None if ok else (
+        "validate-alpha: sign, monotonicity, 1e-8 quadrature agreement"
+        " or 1e-9 relative exact agreement failed"
+    )
     return {"alpha_validation.csv": (header, rows)}, failure
 
 

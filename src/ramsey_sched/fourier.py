@@ -42,17 +42,18 @@ MERGE_TOL = 1e-9
 # Peaks with amplitude magnitude below this are dropped.
 PRUNE_TOL = 1e-12
 
-_SERIES_STOP = 1e-15
-_SERIES_CONVERGED = 1e-12
 # Default term cap of alpha_series_closed, which needs term_cap >= j_max + 10.
 ALPHA_TERM_CAP = 600_000
-# Highest j the default cap serves: coefficient j's stop rule starts only
-# past m = 4(j+1)^2 (see _closed_coefficient), which must be inside the cap.
-ALPHA_J_LIMIT = math.isqrt((ALPHA_TERM_CAP - 1) // 4) - 1
+# Highest j validate-alpha accepts, the range it has long served.  The
+# exact terms of every j <= 386 end inside the default cap, and the
+# running product of the term ratios, about 4^j before its 4^-j scale,
+# overflows past j ~ 510.
+ALPHA_J_LIMIT = 386
 
-# Terms per chunk of the closed series: its five 128 KB work buffers
-# stay in a 2 MB L2 cache.
-_SERIES_CHUNK = 2**14
+# Coefficient j sums its terms exactly to at least this m, and its tail
+# past there by an integral of _TAIL_INTERVALS Simpson intervals.
+_SERIES_EXACT = 40_000
+_TAIL_INTERVALS = 256
 
 # Every value contrast_entropy_series returns is within this of the
 # exact one (the closed forms take a few correctly rounded operations on
@@ -62,7 +63,7 @@ CONTRAST_SERIES_ERR = 1e-14
 
 
 class TruncationNotConverged(RuntimeError):
-    """The closed coefficient series hit its term cap before converging."""
+    """The term cap ends before a closed coefficient's exact terms end."""
 
 
 @dataclass(frozen=True)
@@ -214,75 +215,60 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
 def _closed_coefficient(j: int, term_cap: int) -> float:
     """Binomial-sum form of coefficient j >= 1.
 
-    The summand is C(2m, m+j) 4^{-m} (m - 2(j+1)^2) / (2m(2m-1)(m+j+1))
-    for m = j, j+1, ...  It changes sign once, at m = 2(j+1)^2, and is
-    small near that crossing only because it passes through zero: from
-    j = 69 on, the first term past it is already below the stop
-    threshold, and stopping there would drop the whole positive tail.  So
-    the small-term stop rule only engages past m = 4(j+1)^2, twice the
-    sign change, and a cap that ends before that raises.
+    The summand is t(m) = C(2m, m+j) 4^{-m} (m - s) / (2m(2m-1)(m+j+1))
+    for m = j, j+1, ..., with s = 2(j+1)^2.  It changes sign once, at
+    m = s, and past that it is positive and smooth and decays like
+    m**-2.5.  So the terms m = j..M, M = max(s, ``_SERIES_EXACT``), are
+    summed exactly by the running product of their ratios, and the rest
+    as the integral
 
-    The terms are built in cache-sized chunks of ``_SERIES_CHUNK``, and
-    none past the chunk that holds the stop term.  For term_cap below
-    2**26 every factor -- (2m - 1) m / 2, m^2 - j^2, 2m (2m - 1),
-    m + j + 1 and m - 2(j+1)^2 -- is exact, so every ratio and term is
-    the same correctly rounded value as in one full-length pass; the
-    running product of the ratios carries from chunk to chunk, and the
-    sum is one ``np.sum`` over a prefix of one terms array, so the result
-    does not depend on the chunk size.
+        sum_{m>M} t(m) ~ integral_{M+1/2}^inf t(x) dx
+
+    of t(x) written through lgamma.  The midpoint rule's first
+    correction, t'(M+1/2)/24, is at most about 1e-18 (1e-11 of alpha_j),
+    so it is left out.  The integral is composite Simpson in
+    u = sqrt((M+1/2)/x) over (0, 1], where the integrand behaves like
+    u^2 and is 0 at u = 0.
     """
-    sign_flip = 2.0 * (j + 1) ** 2
-    stop_from = 4 * (j + 1) ** 2  # the stop rule engages only past this m
-    if term_cap <= stop_from:
+    s = 2 * (j + 1) ** 2
+    m_exact = max(s, _SERIES_EXACT)
+    if term_cap < m_exact:
         raise TruncationNotConverged(
-            f"coefficient {j}: term cap {term_cap} ends before the stop rule starts"
-            f" past m = {stop_from}"
+            f"coefficient {j}: term cap {term_cap} ends before its exact terms end"
+            f" at m = {m_exact}"
         )
-    n = term_cap - j + 1
-    terms = np.empty(n)
-    scale = 0.25**j
-    first_stoppable = stop_from + 1 - j  # index of the first m > stop_from
-    size = min(n, _SERIES_CHUNK)
-    index = np.arange(size, dtype=float)
-    m, h, w, d = (np.empty(size) for _ in range(4))
-    carry = 1.0  # product of the ratios before this chunk
-    for lo in range(0, n, _SERIES_CHUNK):
-        k = min(size, n - lo)
-        mk, hk, wk, dk, tk = m[:k], h[:k], w[:k], d[:k], terms[lo : lo + k]
-        np.add(index[:k], j + lo, out=mk)
-        # weight(m) / weight(m - 1) = ((2m - 1) m / 2) / (m^2 - j^2)
-        np.subtract(mk, 0.5, out=hk)
-        hk *= mk
-        np.multiply(mk, mk, out=dk)
-        dk -= j * j
-        if lo == 0:
-            dk[0] = hk[0]  # m = j has no ratio: its weight is scale itself
-        np.divide(hk, dk, out=wk)
-        wk[0] *= carry
-        np.multiply.accumulate(wk, out=wk)
-        carry = wk[-1]
-        wk *= scale
-        # term = weight (m - sign_flip) / (2m (2m - 1) (m + j + 1))
-        np.subtract(mk, sign_flip, out=dk)
-        wk *= dk
-        np.multiply(hk, 4.0, out=dk)
-        np.add(mk, j + 1, out=tk)
-        dk *= tk
-        np.divide(wk, dk, out=tk)
-        skip = max(first_stoppable - lo, 0)
-        if skip < k:
-            small = np.abs(tk[skip:]) < _SERIES_STOP
-            i = int(np.argmax(small))
-            if small[i]:
-                stop = lo + skip + i
-                break
-    else:
-        stop = n - 1
-        if abs(terms[stop]) > _SERIES_CONVERGED:
-            raise TruncationNotConverged(
-                f"coefficient {j}: last term {terms[stop]:.3e} after {term_cap} terms"
-            )
-    return float(np.sum(terms[: stop + 1]))
+    m = np.arange(j, m_exact + 1, dtype=float)
+    # weight(m) / weight(m - 1) = ((2m - 1) m / 2) / (m^2 - j^2); m = j
+    # has no ratio, and its weight is 4^-j alone
+    half = m - 0.5
+    half *= m
+    terms = m * m
+    terms -= j * j
+    terms[0] = half[0]
+    np.divide(half, terms, out=terms)
+    np.multiply.accumulate(terms, out=terms)
+    terms *= 0.25**j
+    # term = weight (m - s) / (2m (2m - 1) (m + j + 1))
+    den = m - s
+    terms *= den
+    np.add(m, j + 1, out=den)
+    den *= half
+    den *= 4.0
+    terms /= den
+
+    a = m_exact + 0.5
+    u = np.arange(1, _TAIL_INTERVALS + 1) / _TAIL_INTERVALS
+    x = a / (u * u)
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
+    log_t = (
+        lgamma(2.0 * x + 1.0) - lgamma(x + j + 1.0) - lgamma(x - j + 1.0) - x * math.log(4.0)
+        + np.log((x - s) / (2.0 * x * (2.0 * x - 1.0) * (x + j + 1.0)))
+    )
+    # Simpson weights 4, 2, ..., 4, 1 of u_1..u_n (u_0 = 0 adds nothing)
+    simpson = np.tile([4.0, 2.0], _TAIL_INTERVALS // 2)
+    simpson[-1] = 1.0
+    tail = (np.exp(log_t) * 2.0 * a / u**3) @ simpson / (3.0 * _TAIL_INTERVALS)
+    return float(np.sum(terms) + tail)
 
 
 def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarray:
@@ -291,12 +277,15 @@ def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarra
     Returns a read-only array laid out as :func:`alpha_series_quadrature`'s.
     The series is stated for j >= 1; the j = 0 coefficient is the profile
     mean and is always taken from the quadrature route.  Terms decay like
-    m**-2.5, so the default cap keeps the truncation error below 1e-9.
+    m**-2.5: each coefficient sums them exactly up to
+    m = max(2(j+1)^2, 40000) and its positive tail past there as an
+    integral, so every j <= ``ALPHA_J_LIMIT`` is within 1e-9 of the exact
+    alpha_j in relative terms at any cap that holds those terms (the
+    worst seen is 4e-11, at j = 373).
 
     Raises:
-        TruncationNotConverged: a coefficient's series ended at the cap
-            before the stop rule could start (past m = 4(j+1)^2), or its
-            last summed term still exceeded 1e-12 at the cap.
+        TruncationNotConverged: term_cap ends before a coefficient's exact
+            terms end, at m = max(2(j+1)^2, 40000).
     """
     if j_max < 0:
         raise ValueError(f"require j_max >= 0, got {j_max}")

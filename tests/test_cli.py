@@ -345,6 +345,12 @@ class TestCompare:
         ).read_bytes()
 
 
+ALPHA_GATE_FAILED = (
+    "validate-alpha: sign, monotonicity, 1e-8 quadrature agreement"
+    " or 1e-9 relative exact agreement failed\n"
+)
+
+
 class TestValidateAlpha:
     def test_default_passes(self, tmp_path):
         out = tmp_path / "out"
@@ -358,8 +364,8 @@ class TestValidateAlpha:
             assert float(diff) < 1e-8
 
     def test_passes_past_j_68(self, tmp_path):
-        # from j = 69 on the first term past the sign change is below the
-        # stop threshold; the series must still sum its positive tail
+        # from j = 69 on a stop rule on small terms would fire just past
+        # the sign change; the series must still sum its positive tail
         out = tmp_path / "out"
         assert main(["validate-alpha", "--out", str(out), "--j-max", "70"]) == 0
         rows = (out / "alpha_validation.csv").read_text().splitlines()[-2:]
@@ -392,13 +398,16 @@ class TestValidateAlpha:
 
     def test_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def unconverged(j_max):
-            raise TruncationNotConverged("coefficient 1: last term 2.000e-12 after 600000 terms")
+            raise TruncationNotConverged(
+                "coefficient 1: term cap 30000 ends before its exact terms end at m = 40000"
+            )
 
         monkeypatch.setattr(cli, "alpha_series_closed", unconverged)
         out = tmp_path / "out"
         assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
         assert capsys.readouterr().err == (
-            "validate-alpha: coefficient 1: last term 2.000e-12 after 600000 terms\n"
+            "validate-alpha: coefficient 1: term cap 30000 ends before its exact terms end"
+            " at m = 40000\n"
         )
         assert not list(out.iterdir())
 
@@ -413,9 +422,7 @@ class TestValidateAlpha:
         monkeypatch.setattr(cli, "alpha_series_quadrature", shifted)
         out = tmp_path / "out"
         assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
-        assert capsys.readouterr().err == (
-            "validate-alpha: sign, monotonicity or 1e-8 agreement failed\n"
-        )
+        assert capsys.readouterr().err == ALPHA_GATE_FAILED
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
         assert float(lines[3].split(",")[3]) > 1e-8
@@ -432,13 +439,45 @@ class TestValidateAlpha:
         monkeypatch.setattr(fourier, "_closed_coefficient", positive_at_3)
         out = tmp_path / "out"
         assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
-        assert capsys.readouterr().err == (
-            "validate-alpha: sign, monotonicity or 1e-8 agreement failed\n"
-        )
+        assert capsys.readouterr().err == ALPHA_GATE_FAILED
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
         assert float(lines[3].split(",")[1]) == 1e-3
         assert "artifact = alpha_validation.csv" in (out / "manifest.txt").read_text()
+
+    def test_nan_coefficient_fails(self, tmp_path, capsys, monkeypatch):
+        # NaN fails every comparison, so each condition is checked as the
+        # thing that must hold
+        real = fourier._closed_coefficient
+
+        def nan_at_3(j, term_cap):
+            return math.nan if j == 3 else real(j, term_cap)
+
+        monkeypatch.setattr(fourier, "_closed_coefficient", nan_at_3)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert capsys.readouterr().err == ALPHA_GATE_FAILED
+        lines = (out / "alpha_validation.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4
+        assert lines[3].startswith("3,nan,")
+        assert "artifact = alpha_validation.csv" in (out / "manifest.txt").read_text()
+
+    def test_old_series_bias_fails_the_exact_gate(self, tmp_path, capsys, monkeypatch):
+        # a series that drops a 3.05e-10 tail stays within 1e-8 of the
+        # quadrature and keeps the signs and the order, but is 4e-5 off
+        # in relative terms at j = 32
+        real = fourier._closed_coefficient
+
+        def biased(j, term_cap):
+            return real(j, term_cap) - 3.05e-10
+
+        monkeypatch.setattr(fourier, "_closed_coefficient", biased)
+        out = tmp_path / "out"
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "32"]) == 1
+        assert capsys.readouterr().err == ALPHA_GATE_FAILED
+        lines = (out / "alpha_validation.csv").read_text().splitlines()
+        assert len(lines) == 1 + 32
+        assert all(float(line.split(",")[3]) < 1e-8 for line in lines[1:])
 
 
 class TestKpeCheck:

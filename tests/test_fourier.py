@@ -17,6 +17,7 @@ from ramsey_sched.bayes import (
     uniform_distribution,
 )
 from ramsey_sched.fourier import (
+    ALPHA_J_LIMIT,
     ALPHA_TERM_CAP,
     CONTRAST_SERIES_ERR,
     DeltaComb,
@@ -233,148 +234,34 @@ class TestAlphaSeries:
             alpha_series_closed(32, term_cap=20)
 
 
-def _one_shot_terms(j, term_cap):
-    """m = j..term_cap and the closed series' terms, in one full-length pass."""
-    m = np.arange(j, term_cap + 1, dtype=float)
-    ratios = (2.0 * m[:-1] + 1.0) * (m[:-1] + 1.0) / (2.0 * (m[:-1] + 1.0 + j) * (m[:-1] + 1.0 - j))
-    weights = np.empty_like(m)
-    weights[0] = 0.25**j
-    if len(m) > 1:
-        np.cumprod(ratios, out=weights[1:])
-        weights[1:] *= weights[0]
-    return m, weights * (m - 2.0 * (j + 1) ** 2) / (2.0 * m * (2.0 * m - 1.0) * (m + j + 1.0))
-
-
-def _one_shot_closed(j, term_cap):
-    """The closed coefficient j summed in one full-length pass, and its stop index.
-
-    The oracle of the chunked ``fourier._closed_coefficient``, which must
-    return the same float and raise the same message.  The stop rule
-    starts only past m = 4(j+1)^2, twice the sign change.
-    """
-    stop_from = 4 * (j + 1) ** 2
-    if term_cap <= stop_from:
-        raise TruncationNotConverged(
-            f"coefficient {j}: term cap {term_cap} ends before the stop rule starts"
-            f" past m = {stop_from}"
-        )
-    m, terms = _one_shot_terms(j, term_cap)
-    stoppable = (np.abs(terms) < 1e-15) & (m > stop_from)
-    if stoppable.any():
-        stop = int(np.argmax(stoppable))
-    else:
-        stop = len(terms) - 1
-        if abs(terms[stop]) > 1e-12:
-            raise TruncationNotConverged(
-                f"coefficient {j}: last term {terms[stop]:.3e} after {term_cap} terms"
-            )
-    return float(np.sum(terms[: stop + 1])), stop
-
-
-def _one_shot_coefficient(j, term_cap):
-    return _one_shot_closed(j, term_cap)[0]
-
-
-def _outcome(coefficient, j, term_cap):
-    """float.hex of a closed coefficient, or the message it raised."""
-    try:
-        return float(coefficient(j, term_cap)).hex()
-    except TruncationNotConverged as exc:
-        return f"raised: {exc}"
-
-
-CHUNK = fourier._SERIES_CHUNK
-
-# j = 1 at the default cap stops at term 456816 = 16 * 28551
-J1_STOP = 456_816
-
-
-class TestChunkedClosedSeries:
-    @pytest.fixture(scope="class")
-    def one_shot(self):
-        return {j: _one_shot_closed(j, ALPHA_TERM_CAP)[0] for j in range(1, 41)}
-
-    @pytest.mark.parametrize("j_max", [1, 4, 32, 40])
-    def test_default_cap_bit_identical(self, one_shot, j_max):
-        got = alpha_series_closed(j_max)
-        assert [float(v).hex() for v in got[1:]] == [
-            one_shot[j].hex() for j in range(1, j_max + 1)
-        ]
-
+class TestClosedSeriesTail:
     @pytest.mark.parametrize(
-        "j, term_cap",
+        "js",
         [
-            # from j = 69 on, the first term past the sign change is
-            # already below the stop threshold; a cap that ends before the
-            # stop rule starts raises
-            (80, ALPHA_TERM_CAP),
-            (4, 50),
-            (4, 100),
-            (4, 101),
-            (32, 5_000),
-            # last term on a chunk edge: the last of chunk 1, then alone in chunk 2
-            (1, 2 * CHUNK),
-            (1, 2 * CHUNK + 1),
-            (4, 3 * CHUNK + 3),
-            (4, 3 * CHUNK + 4),
-            # one below and one above a multiple of the chunk size
-            (1, 2 * CHUNK - 1),
-            (4, 3 * CHUNK - 1),
-            (4, 3 * CHUNK + 1),
-            (32, CHUNK - 1),
-            (32, CHUNK + 1),
+            range(1, 41),
+            # from j = 69 on a stop rule on small terms would fire just past
+            # the sign change and drop the positive tail
+            range(68, 73),
+            # past j = 292 |alpha_j| < 1e-8, below the quadrature gate
+            [292, 357, ALPHA_J_LIMIT],
         ],
+        ids=["1-40", "68-72", "292-386"],
     )
-    def test_term_cap_bit_identical(self, j, term_cap):
-        expected = _outcome(_one_shot_coefficient, j, term_cap)
-        assert _outcome(fourier._closed_coefficient, j, term_cap) == expected
+    def test_within_1e9_relative_of_exact(self, js):
+        for j in js:
+            got = fourier._closed_coefficient(j, ALPHA_TERM_CAP)
+            assert abs(got - alpha_exact(j)) <= 1e-9 * abs(alpha_exact(j)), j
 
-    def test_j1_stop_index(self):
-        assert _one_shot_closed(1, ALPHA_TERM_CAP)[1] == J1_STOP
-
-    @pytest.mark.parametrize("j", [1, 32, 40, 68, 69, 72])
-    def test_stop_rule_starts_past_twice_the_sign_change(self, j):
-        # up to j = 68 no term between the sign change and twice it is
-        # below the stop threshold, so starting the rule at either point
-        # stops at the same term and leaves the values as they were; from
-        # j = 69 on one is, and stopping there dropped the positive tail
-        m, terms = _one_shot_terms(j, ALPHA_TERM_CAP)
-        between = (m > 2 * (j + 1) ** 2) & (m <= 4 * (j + 1) ** 2)
-        assert np.any(np.abs(terms[between]) < 1e-15) == (j >= 69)
-        exact = alpha_series_quadrature(j)[j]
-        assert abs(fourier._closed_coefficient(j, ALPHA_TERM_CAP) - exact) < 1e-9
-
-    def test_cap_before_the_stop_rule_raises(self):
-        # the cap ends at m = 50, the sign change of j = 4, where the term
-        # is 0 and the sum is 2.3% off
-        with pytest.raises(TruncationNotConverged, match="before the stop rule starts past m = 100"):
-            fourier._closed_coefficient(4, 50)
-
-    @pytest.mark.parametrize(
-        "chunk, j, term_cap",
-        [
-            (7, 32, 5_000),
-            (7, 4, 50),
-            (J1_STOP // 16, 1, ALPHA_TERM_CAP),  # stop term first in chunk 16
-            (J1_STOP, 1, ALPHA_TERM_CAP),  # stop term first in chunk 1
-            (J1_STOP + 1, 1, ALPHA_TERM_CAP),  # stop term last in chunk 0
-        ],
-    )
-    def test_chunk_size_does_not_change_result(self, monkeypatch, chunk, j, term_cap):
-        expected = _outcome(_one_shot_coefficient, j, term_cap)
-        monkeypatch.setattr(fourier, "_SERIES_CHUNK", chunk)
-        assert _outcome(fourier._closed_coefficient, j, term_cap) == expected
-
-    @pytest.mark.parametrize("term_cap", [50, 1_000, 20_000])
-    def test_truncation_message_identical(self, term_cap):
-        with pytest.raises(TruncationNotConverged) as one_shot:
-            _one_shot_closed(1, term_cap)
-        with pytest.raises(TruncationNotConverged) as chunked:
-            alpha_series_closed(4, term_cap=term_cap)
-        assert str(chunked.value) == str(one_shot.value)
-        for j in (2, 4, 32):
-            expected = _outcome(_one_shot_coefficient, j, term_cap)
-            assert _outcome(fourier._closed_coefficient, j, term_cap) == expected
+    @pytest.mark.parametrize("j, m_exact", [(1, 40_000), (4, 40_000), (200, 2 * 201**2)])
+    def test_cap_below_the_exact_terms_raises(self, j, m_exact):
+        with pytest.raises(
+            TruncationNotConverged,
+            match=f"coefficient {j}: term cap {m_exact - 1} ends before its exact terms end"
+            f" at m = {m_exact}$",
+        ):
+            fourier._closed_coefficient(j, m_exact - 1)
+        # a cap that holds the exact terms does not change the value
+        assert fourier._closed_coefficient(j, m_exact) == fourier._closed_coefficient(j, ALPHA_TERM_CAP)
 
 
 CONTRASTS = [0.3, 0.9, 0.999, 1.0]

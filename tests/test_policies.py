@@ -587,7 +587,8 @@ class TestBoundPrunedChoice:
         # coefficient allowance cover rounding, on posteriors whose error
         # bars are tight: one-point ones (MI 0 up to rounding, either
         # side) and two-point ones, whose likelihoods at T = inf reach 0,
-        # 1/2 and 1
+        # 1/2 and 1.  The second pass takes the coefficient allowance
+        # away, so that the margin alone covers rounding.
         cfg = PolicyConfig(
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
             theta_grid_size=theta_grid_size, coherence_time=coherence_time,
@@ -610,7 +611,8 @@ class TestBoundPrunedChoice:
         monkeypatch.setattr(policies, "_mi_matrix", recording)
         full = full_matrix(ds, cfg)
         best = full.max(axis=(1, 2), keepdims=True)
-        for r in (1, len(ds)):
+        for series_err, r in itertools.product((policies.CONTRAST_SERIES_ERR, 0.0), (1, len(ds))):
+            monkeypatch.setattr(policies, "CONTRAST_SERIES_ERR", series_err)
             masks.clear()
             chosen = []
             for k in range(0, len(ds), r):
