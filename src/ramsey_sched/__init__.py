@@ -16,6 +16,7 @@ from .bayes import (
     likelihood,
     mean,
     mutual_information,
+    mutual_information_over_coherence,
     predictive_prob,
     spike_distribution,
     uniform_distribution,

@@ -246,6 +246,33 @@ def mutual_information(d: FieldDistribution, p: RamseyParams) -> float:
     return h_x - h_x_given_b
 
 
+def _fringe(b: np.ndarray, p: RamseyParams) -> np.ndarray:
+    """cos(2 tau b + theta), in the operation order of :func:`likelihood`."""
+    return np.cos(2.0 * p.tau * b + p.theta)
+
+
+def mutual_information_over_coherence(
+    d: FieldDistribution, tau: float, theta: float, coherence_times
+) -> np.ndarray:
+    """:func:`mutual_information` at one (tau, theta) for each coherence time.
+
+    The fringe cos(2 tau b + theta) does not depend on T, so it is formed
+    once and each T only rescales it by its contrast.  Each value is
+    bit-identical to ``mutual_information(d, RamseyParams(tau, theta, T))``,
+    and every T is validated as that ``RamseyParams`` would.
+    """
+    params = [RamseyParams(tau, theta, T) for T in coherence_times]
+    fringe = _fringe(d.grid.points, RamseyParams(tau, theta))
+    q = d.grid.trapz_weights * d.density
+    out = np.empty(len(params))
+    for i, p in enumerate(params):
+        l0 = 0.5 + 0.5 * p.contrast * fringe
+        l1 = 1.0 - l0
+        h_x = -(xlogx(float(q @ l0)) + xlogx(float(q @ l1)))
+        out[i] = h_x - float(q @ -(xlogx(l0) + xlogx(l1)))
+    return out
+
+
 _FUNCTIONALS = {"entropy": entropy, "variance": variance}
 
 

@@ -41,7 +41,8 @@ from .bayes import (
     RamseyParams,
     ZeroEvidence,
     gaussian_distribution,
-    mutual_information,
+    mutual_information,  # noqa: F401  (perfbench's instrument() wraps cli.mutual_information)
+    mutual_information_over_coherence,
 )
 from .fourier import (
     ALPHA_J_LIMIT,
@@ -242,20 +243,41 @@ def _grid(cfg: dict) -> FieldGrid:
     return FieldGrid(**{key: cfg[key] for key in _GRID_KEYS})
 
 
-def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
-    """Single-measurement information over a (T, tau) grid."""
+def _check_mi_surface_keys(cfg: dict) -> None:
+    """The exposure linspace and the coherence times, each error naming its key."""
     if cfg["tau_grid_size"] < 1:
         raise ConfigError(f"key 'tau_grid_size': require >= 1, got {cfg['tau_grid_size']}")
+    tau_min, tau_max = cfg["tau_min"], cfg["tau_max"]
+    if not 0.0 <= tau_min < math.inf:
+        raise ConfigError(f"key 'tau_min': require finite tau_min >= 0, got {tau_min}")
+    if not tau_min <= tau_max < math.inf:
+        raise ConfigError(f"key 'tau_max': require finite tau_max >= tau_min = {tau_min}, got {tau_max}")
+    for T in cfg["coherence_times"]:
+        if not T > 0.0:
+            raise ConfigError(f"key 'coherence_times': require every value > 0 (inf allowed), got {T}")
+
+
+def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
+    """Single-measurement information over a (T, tau) grid.
+
+    Each tau's fringe cos(2 tau b + theta) is formed once and shared by
+    every coherence time (``mutual_information_over_coherence``); the rows
+    stay T-major, tau ascending within each T.
+    """
+    _check_mi_surface_keys(cfg)
     grid = _grid(cfg)
     # the prior first: it names a non-finite mean or std
     prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
     check_prior_coverage(grid, cfg["prior_mean"], cfg["prior_std"])
-    taus = np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])
-    rows = []
-    for T in cfg["coherence_times"]:
-        for tau in taus:
-            p = RamseyParams(float(tau), cfg["theta"], coherence_time=T)
-            rows.append((float(T), float(tau), p.theta, mutual_information(prior, p)))
+    taus = [float(tau) for tau in np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])]
+    Ts = cfg["coherence_times"]
+    by_tau = [mutual_information_over_coherence(prior, tau, cfg["theta"], Ts) for tau in taus]
+    theta = RamseyParams(0.0, cfg["theta"]).theta  # wrapped into [0, 2 pi)
+    rows = [
+        (float(T), tau, theta, float(mi[i]))
+        for i, T in enumerate(Ts)
+        for tau, mi in zip(taus, by_tau)
+    ]
     return {"mi_surface.csv": (["T", "tau", "theta", "mutual_information_nats"], rows)}, None
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from ramsey_sched.bayes import (
     likelihood,
     mean,
     mutual_information,
+    mutual_information_over_coherence,
     predictive_prob,
     spike_distribution,
     uniform_distribution,
@@ -327,6 +329,41 @@ class TestMutualInformation:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+
+
+class TestMutualInformationOverCoherence:
+    """The shared-fringe scorer against the scalar oracle, value by value."""
+
+    TIMES = [0.3, 2.0, 2.0, 10.0, math.inf]
+
+    @staticmethod
+    def _posterior():
+        # a multi-modal posterior: a prior after three shots at finite T
+        d = gaussian_distribution(FieldGrid(-20.0, 20.0, 2**12), 0.4, 2.5)
+        for tau, theta, x in [(0.6, 0.2, 0), (1.3, 2.9, 1), (2.7, 5.5, 0)]:
+            d = bayes_update(d, RamseyParams(tau, theta, 7.0), x)
+        return d
+
+    @pytest.mark.parametrize("tau, theta", [(0.0, 0.7), (0.05, -1.0), (1.37, 7.5), (4.9, 3.0)])
+    def test_bit_identical_to_the_oracle(self, tau, theta):
+        d = self._posterior()
+        got = mutual_information_over_coherence(d, tau, theta, self.TIMES)
+        expect = [mutual_information(d, RamseyParams(tau, theta, T)) for T in self.TIMES]
+        assert got.tolist() == expect
+
+    def test_no_coherence_times(self):
+        got = mutual_information_over_coherence(self._posterior(), 1.0, 0.0, [])
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("times, tau, theta, message", [
+        ([2.0, 0.0], 1.0, 0.0, "coherence_time > 0, got 0.0"),
+        ([math.nan], 1.0, 0.0, "coherence_time > 0, got nan"),
+        ([2.0], -1.0, 0.0, "finite tau >= 0, got -1.0"),
+        ([2.0], 1.0, math.inf, "finite theta, got inf"),
+    ])
+    def test_validates_as_ramsey_params(self, times, tau, theta, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mutual_information_over_coherence(self._posterior(), tau, theta, times)
 
 class TestExpectedPosteriorFunctional:
     def test_tau_zero_entropy(self):

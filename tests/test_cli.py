@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import ramsey_sched
-from ramsey_sched import cli, fourier, simulate
-from ramsey_sched.bayes import ZeroEvidence
+from ramsey_sched import bayes, cli, fourier, simulate
+from ramsey_sched.bayes import RamseyParams, ZeroEvidence, gaussian_distribution, mutual_information
 from ramsey_sched.cli import ConfigError, main, read_config_file, resolve_config
 from ramsey_sched.fourier import TruncationNotConverged
 from ramsey_sched.policies import PolicyConfig
@@ -245,6 +245,26 @@ class TestExitCodes:
         assert f"key 'tau_grid_size': require >= 1, got {size}" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lines, named", [
+        ("tau_max = inf\n", "key 'tau_max': require finite tau_max >= tau_min = 0.05, got inf"),
+        ("tau_max = nan\n", "key 'tau_max': require finite tau_max >= tau_min = 0.05, got nan"),
+        ("tau_min = 6\n", "key 'tau_max': require finite tau_max >= tau_min = 6.0, got 5.0"),
+        ("tau_min = -0.5\n", "key 'tau_min': require finite tau_min >= 0, got -0.5"),
+        ("tau_min = inf\ntau_max = inf\n", "key 'tau_min': require finite tau_min >= 0, got inf"),
+        ("tau_min = nan\n", "key 'tau_min': require finite tau_min >= 0, got nan"),
+        ("coherence_times = 0\n", "key 'coherence_times': require every value > 0 (inf allowed), got 0.0"),
+        ("coherence_times = 2,-1\n", "key 'coherence_times': require every value > 0 (inf allowed), got -1.0"),
+        ("coherence_times = inf,nan\n", "key 'coherence_times': require every value > 0 (inf allowed), got nan"),
+    ])
+    def test_mi_surface_bad_exposure_or_coherence_is_2(self, tmp_path, capsys, lines, named):
+        # rejected up front, naming the key, with no numpy warning and no output
+        path = _write(tmp_path, "c.cfg", lines)
+        out = tmp_path / "out"
+        assert main(["mi-surface", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not list(out.iterdir())
+
 
 def _python_with_package(*args):
     """Run a fresh interpreter that imports this ramsey_sched."""
@@ -289,6 +309,48 @@ class TestMiSurface:
         assert len(rows) == 3 * 24
         mi = np.array([float(r[3]) for r in rows])
         assert np.all(mi >= -1e-10) and np.all(mi <= math.log(2) + 1e-10)
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"tau_min": "0"},
+        {"theta": "-1.0"},
+        {"theta": "7.5"},
+        {"coherence_times": "inf"},
+        {"coherence_times": "2,2"},
+        {"tau_grid_size": "1"},
+    ])
+    def test_rows_equal_the_scalar_oracle(self, tmp_path, overrides):
+        # every row, T-major, is exactly the scalar mutual_information of its cell
+        keys = {"n_points": "1024", "tau_grid_size": "6", **overrides}
+        path = _write(tmp_path, "mi.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "o"
+        assert main(["mi-surface", "--config", path, "--out", str(out)]) == 0
+        cfg = resolve_config("mi-surface", path)
+        prior = gaussian_distribution(cli._grid(cfg), cfg["prior_mean"], cfg["prior_std"])
+        taus = np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])
+        rows = [[float(v) for v in line.split(",")]
+                for line in (out / "mi_surface.csv").read_text().splitlines()[1:]]
+        assert [(T, tau) for T, tau, _, _ in rows] == [
+            (T, float(tau)) for T in cfg["coherence_times"] for tau in taus
+        ]
+        for T, tau, theta, mi in rows:
+            p = RamseyParams(tau, cfg["theta"], T)
+            assert theta == p.theta
+            assert mi == mutual_information(prior, p)
+
+    def test_fringe_formed_once_per_tau(self, tmp_path, monkeypatch):
+        calls = []
+        fringe = bayes._fringe
+
+        def spy(b, p):
+            calls.append(p.tau)
+            return fringe(b, p)
+
+        monkeypatch.setattr(bayes, "_fringe", spy)
+        cfg = _write(tmp_path, "mi.cfg", "n_points = 512\ntau_grid_size = 5\ncoherence_times = 2,5,10,inf\n")
+        assert main(["mi-surface", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 5
+        assert len(set(calls)) == 5
 
     def test_manifest_lists_artifacts(self, tmp_path):
         out = tmp_path / "o"
