@@ -24,7 +24,6 @@ from .bayes import (
 )
 from .fourier import (
     DeltaComb,
-    TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
     bias_from_comb,

@@ -167,6 +167,11 @@ class RamseyParams:
         return math.exp(-self.tau / self.coherence_time)
 
 
+def _fringe(b: np.ndarray, p: RamseyParams) -> np.ndarray:
+    """cos(2 tau b + theta), the fringe every likelihood rescales."""
+    return np.cos(2.0 * p.tau * b + p.theta)
+
+
 def likelihood(x: int, b, p: RamseyParams):
     """Probability of outcome ``x`` given field value(s) ``b``.
 
@@ -177,7 +182,7 @@ def likelihood(x: int, b, p: RamseyParams):
     if x not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {x!r}")
     b_arr = np.asarray(b, dtype=float)
-    l0 = 0.5 + 0.5 * p.contrast * np.cos(2.0 * p.tau * b_arr + p.theta)
+    l0 = 0.5 + 0.5 * p.contrast * _fringe(b_arr, p)
     out = l0 if x == 0 else 1.0 - l0
     return float(out) if out.ndim == 0 else out
 
@@ -244,11 +249,6 @@ def mutual_information(d: FieldDistribution, p: RamseyParams) -> float:
     h_x = -(xlogx(p0) + xlogx(p1))
     h_x_given_b = float(q @ binary_entropy(l0))
     return h_x - h_x_given_b
-
-
-def _fringe(b: np.ndarray, p: RamseyParams) -> np.ndarray:
-    """cos(2 tau b + theta), in the operation order of :func:`likelihood`."""
-    return np.cos(2.0 * p.tau * b + p.theta)
 
 
 def mutual_information_over_coherence(

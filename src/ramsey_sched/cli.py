@@ -15,9 +15,9 @@ Each ``cmd_*`` is a function of its resolved config alone.  It returns
 ``(artifacts, failure)``: ``artifacts`` maps each CSV name to
 ``(header, rows)`` in write order, and ``failure`` is None or the stderr
 line of a failed check.  ``main`` writes every file, so no file is
-written until every result is computed; a command that returns no
-artifacts writes no manifest, and a failed check still writes its CSVs
-and manifest before exiting 1.
+written until every result is computed.  Every command returns at least
+one CSV, and a failed check still writes its CSVs and manifest before
+exiting 1.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure during a run (an outcome with zero evidence; the
@@ -46,7 +46,6 @@ from .bayes import (
 )
 from .fourier import (
     ALPHA_J_LIMIT,
-    TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
     contrast_entropy_series,
@@ -310,10 +309,7 @@ def cmd_validate_alpha(cfg: dict) -> tuple[dict, str | None]:
         raise ConfigError(f"key 'j_max': require >= 1, got {j_max}")
     if j_max > ALPHA_J_LIMIT:
         raise ConfigError(f"key 'j_max': require <= {ALPHA_J_LIMIT}, got {j_max}")
-    try:
-        closed = alpha_series_closed(j_max)
-    except TruncationNotConverged as exc:
-        return {}, f"validate-alpha: {exc}"
+    closed = alpha_series_closed(j_max)
     quad = alpha_series_quadrature(j_max)
     exact, _ = contrast_entropy_series(1.0, j_max)
     rows = []
@@ -412,8 +408,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         artifacts, failure = _COMMANDS[args.command](cfg)
-        if artifacts:
-            _write_run(out_dir, args.command, cfg, artifacts, t0)
+        _write_run(out_dir, args.command, cfg, artifacts, t0)
     except ZeroEvidence as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -42,12 +42,14 @@ MERGE_TOL = 1e-9
 # Peaks with amplitude magnitude below this are dropped.
 PRUNE_TOL = 1e-12
 
-# Default term cap of alpha_series_closed, which needs term_cap >= j_max + 10.
+# Default term cap of alpha_series_closed, which requires term_cap >=
+# max(2(j_max + 1)^2, _SERIES_EXACT), where coefficient j_max's exact
+# terms end.  The cap only validates: no term past there is summed.
 ALPHA_TERM_CAP = 600_000
-# Highest j validate-alpha accepts, the range it has long served.  The
-# exact terms of every j <= 386 end inside the default cap, and the
-# running product of the term ratios, about 4^j before its 4^-j scale,
-# overflows past j ~ 510.
+# Highest j alpha_series_closed and validate-alpha accept.  The exact
+# terms of every j <= 386 end inside the default cap, and the running
+# product of the term ratios, about 4^j before its 4^-j scale, overflows
+# at j = 518.
 ALPHA_J_LIMIT = 386
 
 # Coefficient j sums its terms exactly to at least this m, and its tail
@@ -62,19 +64,18 @@ _TAIL_INTERVALS = 256
 CONTRAST_SERIES_ERR = 1e-14
 
 
-class TruncationNotConverged(RuntimeError):
-    """The term cap ends before a closed coefficient's exact terms end."""
-
-
 @dataclass(frozen=True)
 class DeltaComb:
     """Weighted point masses in the frequency domain.
 
-    Construction canonicalizes the peak list: sorted by frequency, peaks
-    within ``MERGE_TOL`` merged by summing amplitudes, magnitudes below
-    ``PRUNE_TOL`` dropped.  Transforms of real densities are Hermitian
-    (amplitude at -xi conjugate to +xi) and normalized ones carry
-    amplitude 1 at xi = 0; ``is_hermitian`` / ``zero_frequency_amplitude``
+    Construction canonicalizes the peak list.  Every frequency and
+    amplitude must be finite.  Sorted by frequency, a peak joins the group
+    of the peak below it when it lies within ``MERGE_TOL`` of that peak;
+    each group becomes one peak carrying the group's summed amplitude, at
+    the midpoint of its lowest and highest frequency.  Peaks of magnitude
+    below ``PRUNE_TOL`` are then dropped.  Transforms of real densities are
+    Hermitian (amplitude at -xi conjugate to +xi) and normalized ones carry
+    amplitude 1 at xi = 0; ``is_hermitian`` and ``amplitude_at(0.0)``
     expose those invariants for checking.
     """
 
@@ -86,56 +87,46 @@ class DeltaComb:
         amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex))
         if freqs.shape != amps.shape:
             raise ValueError("frequencies and amplitudes must have matching shapes")
-        order = np.argsort(freqs)
+        if not (np.isfinite(freqs).all() and np.isfinite(amps).all()):
+            raise ValueError("frequencies and amplitudes must be finite")
+        order = np.argsort(freqs, kind="stable")
         freqs, amps = freqs[order], amps[order]
-
-        merged_f: list[float] = []
-        merged_a: list[complex] = []
-        for f, a in zip(freqs, amps):
-            if merged_f and f - merged_f[-1] <= MERGE_TOL:
-                merged_a[-1] += a
-            else:
-                merged_f.append(float(f))
-                merged_a.append(complex(a))
-        keep_f = []
-        keep_a = []
-        for f, a in zip(merged_f, merged_a):
-            if abs(a) >= PRUNE_TOL:
-                keep_f.append(f)
-                keep_a.append(a)
-        f_arr = np.asarray(keep_f, dtype=float)
-        a_arr = np.asarray(keep_a, dtype=complex)
-        f_arr.flags.writeable = False
-        a_arr.flags.writeable = False
-        object.__setattr__(self, "frequencies", f_arr)
-        object.__setattr__(self, "amplitudes", a_arr)
+        # gap[k]: a group boundary between sorted peaks k - 1 and k
+        gap = np.diff(freqs, prepend=-np.inf, append=np.inf) > MERGE_TOL
+        starts, ends = np.flatnonzero(gap[:-1]), np.flatnonzero(gap[1:])
+        lo = freqs[starts]
+        freqs = lo + 0.5 * (freqs[ends] - lo)
+        amps = np.add.reduceat(amps, starts)
+        keep = np.abs(amps) >= PRUNE_TOL
+        freqs, amps = freqs[keep], amps[keep]
+        freqs.flags.writeable = False
+        amps.flags.writeable = False
+        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "amplitudes", amps)
 
     def __len__(self) -> int:
         return len(self.frequencies)
 
-    def amplitude_at(self, xi: float) -> complex:
-        """Amplitude of the peak within ``MERGE_TOL`` of xi, else 0."""
-        if len(self.frequencies) == 0:
-            return 0.0 + 0.0j
-        i = int(np.searchsorted(self.frequencies, xi))
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self.frequencies):
-                delta = abs(self.frequencies[j] - xi)
-                if best is None or delta < best[0]:
-                    best = (delta, j)
-        if best is not None and best[0] <= MERGE_TOL:
-            return complex(self.amplitudes[best[1]])
-        return 0.0 + 0.0j
+    def amplitude_at(self, xi):
+        """Amplitude of the peak nearest xi (a tie goes to the lower peak)
+        if it lies within ``MERGE_TOL``, else 0.
 
-    def zero_frequency_amplitude(self) -> complex:
-        return self.amplitude_at(0.0)
+        A float xi gives a complex, an array of them a complex array.
+        """
+        xi = np.asarray(xi, dtype=float)
+        f = self.frequencies
+        out = np.zeros(xi.shape, dtype=complex)
+        if len(f):
+            i = np.searchsorted(f, xi)
+            lo, hi = np.maximum(i - 1, 0), np.minimum(i, len(f) - 1)
+            d_lo, d_hi = np.abs(xi - f[lo]), np.abs(f[hi] - xi)
+            nearest = np.where(d_lo <= d_hi, lo, hi)
+            out = np.where(np.minimum(d_lo, d_hi) <= MERGE_TOL, self.amplitudes[nearest], 0.0)
+        return complex(out) if out.ndim == 0 else out
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(
-            abs(self.amplitude_at(-f) - np.conj(a)) <= tol
-            for f, a in zip(self.frequencies, self.amplitudes)
-        )
+        mirrored = self.amplitude_at(-self.frequencies)
+        return bool(np.all(np.abs(mirrored - np.conj(self.amplitudes)) <= tol))
 
 
 def comb_from_distribution(d: FieldDistribution, frequencies) -> DeltaComb:
@@ -179,8 +170,7 @@ def bias_from_comb(c: DeltaComb, p: RamseyParams) -> float:
     leaves a comb's zero-frequency amplitude just above 1.
     """
     xi = 2.0 * p.tau
-    a_plus = c.amplitude_at(xi)
-    a_minus = c.amplitude_at(-xi)
+    a_plus, a_minus = c.amplitude_at([xi, -xi])
     phase = np.exp(1j * p.theta)
     return min(0.5, 0.25 * p.contrast * abs(phase * a_minus + np.conj(phase) * a_plus))
 
@@ -212,7 +202,7 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
     return coeffs
 
 
-def _closed_coefficient(j: int, term_cap: int) -> float:
+def _closed_coefficient(j: int) -> float:
     """Binomial-sum form of coefficient j >= 1.
 
     The summand is t(m) = C(2m, m+j) 4^{-m} (m - s) / (2m(2m-1)(m+j+1))
@@ -232,11 +222,6 @@ def _closed_coefficient(j: int, term_cap: int) -> float:
     """
     s = 2 * (j + 1) ** 2
     m_exact = max(s, _SERIES_EXACT)
-    if term_cap < m_exact:
-        raise TruncationNotConverged(
-            f"coefficient {j}: term cap {term_cap} ends before its exact terms end"
-            f" at m = {m_exact}"
-        )
     m = np.arange(j, m_exact + 1, dtype=float)
     # weight(m) / weight(m - 1) = ((2m - 1) m / 2) / (m^2 - j^2); m = j
     # has no ratio, and its weight is 4^-j alone
@@ -280,21 +265,21 @@ def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarra
     m**-2.5: each coefficient sums them exactly up to
     m = max(2(j+1)^2, 40000) and its positive tail past there as an
     integral, so every j <= ``ALPHA_J_LIMIT`` is within 1e-9 of the exact
-    alpha_j in relative terms at any cap that holds those terms (the
-    worst seen is 4e-11, at j = 373).
+    alpha_j in relative terms (the worst seen is 4e-11, at j = 373).
 
-    Raises:
-        TruncationNotConverged: term_cap ends before a coefficient's exact
-            terms end, at m = max(2(j+1)^2, 40000).
+    Both arguments are checked before any coefficient is computed:
+    0 <= j_max <= ``ALPHA_J_LIMIT``, and term_cap must hold coefficient
+    j_max's exact terms, term_cap >= max(2(j_max+1)^2, 40000).
     """
-    if j_max < 0:
-        raise ValueError(f"require j_max >= 0, got {j_max}")
-    if term_cap < j_max + 10:
-        raise ValueError(f"require term_cap >= j_max + 10, got {term_cap}")
+    if not 0 <= j_max <= ALPHA_J_LIMIT:
+        raise ValueError(f"require 0 <= j_max <= {ALPHA_J_LIMIT}, got {j_max}")
+    m_exact = max(2 * (j_max + 1) ** 2, _SERIES_EXACT)
+    if term_cap < m_exact:
+        raise ValueError(f"require term_cap >= {m_exact} for j_max = {j_max}, got {term_cap}")
     coeffs = np.empty(j_max + 1)
     coeffs[0] = alpha_series_quadrature(0)[0]
     for j in range(1, j_max + 1):
-        coeffs[j] = _closed_coefficient(j, term_cap)
+        coeffs[j] = _closed_coefficient(j)
     coeffs.flags.writeable = False
     return coeffs
 

@@ -13,7 +13,6 @@ import ramsey_sched
 from ramsey_sched import bayes, cli, fourier, simulate
 from ramsey_sched.bayes import RamseyParams, ZeroEvidence, gaussian_distribution, mutual_information
 from ramsey_sched.cli import ConfigError, main, read_config_file, resolve_config
-from ramsey_sched.fourier import TruncationNotConverged
 from ramsey_sched.policies import PolicyConfig
 from ramsey_sched.simulate import SimConfig
 
@@ -449,29 +448,19 @@ class TestValidateAlpha:
         assert capsys.readouterr().err == f"config error: key 'j_max': require {limit}, got {j_max}\n"
         assert not list(out.iterdir())
 
-    def test_j_max_at_limit_reaches_the_series(self, tmp_path, capsys, monkeypatch):
-        def unconverged(j_max):
-            raise TruncationNotConverged(f"stub series called with j_max {j_max}")
+    def test_j_max_at_limit_reaches_the_series(self, tmp_path, monkeypatch):
+        # a recording stub that returns the exact coefficients
+        calls = []
 
-        monkeypatch.setattr(cli, "alpha_series_closed", unconverged)
+        def exact(j_max):
+            calls.append(j_max)
+            return ramsey_sched.contrast_entropy_series(1.0, j_max)[0]
+
+        monkeypatch.setattr(cli, "alpha_series_closed", exact)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "386"]) == 1
-        assert capsys.readouterr().err == "validate-alpha: stub series called with j_max 386\n"
-
-    def test_truncation_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        def unconverged(j_max):
-            raise TruncationNotConverged(
-                "coefficient 1: term cap 30000 ends before its exact terms end at m = 40000"
-            )
-
-        monkeypatch.setattr(cli, "alpha_series_closed", unconverged)
-        out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
-        assert capsys.readouterr().err == (
-            "validate-alpha: coefficient 1: term cap 30000 ends before its exact terms end"
-            " at m = 40000\n"
-        )
-        assert not list(out.iterdir())
+        assert main(["validate-alpha", "--out", str(out), "--j-max", "386"]) == 0
+        assert calls == [386]
+        assert len((out / "alpha_validation.csv").read_text().splitlines()) == 1 + 386
 
     def test_failed_check_still_writes_report(self, tmp_path, capsys, monkeypatch):
         real = cli.alpha_series_quadrature
@@ -495,8 +484,8 @@ class TestValidateAlpha:
         # coefficient is a reported check failure, not a config error
         real = fourier._closed_coefficient
 
-        def positive_at_3(j, term_cap):
-            return 1e-3 if j == 3 else real(j, term_cap)
+        def positive_at_3(j):
+            return 1e-3 if j == 3 else real(j)
 
         monkeypatch.setattr(fourier, "_closed_coefficient", positive_at_3)
         out = tmp_path / "out"
@@ -512,8 +501,8 @@ class TestValidateAlpha:
         # thing that must hold
         real = fourier._closed_coefficient
 
-        def nan_at_3(j, term_cap):
-            return math.nan if j == 3 else real(j, term_cap)
+        def nan_at_3(j):
+            return math.nan if j == 3 else real(j)
 
         monkeypatch.setattr(fourier, "_closed_coefficient", nan_at_3)
         out = tmp_path / "out"
@@ -530,8 +519,8 @@ class TestValidateAlpha:
         # in relative terms at j = 32
         real = fourier._closed_coefficient
 
-        def biased(j, term_cap):
-            return real(j, term_cap) - 3.05e-10
+        def biased(j):
+            return real(j) - 3.05e-10
 
         monkeypatch.setattr(fourier, "_closed_coefficient", biased)
         out = tmp_path / "out"

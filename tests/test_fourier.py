@@ -18,10 +18,9 @@ from ramsey_sched.bayes import (
 )
 from ramsey_sched.fourier import (
     ALPHA_J_LIMIT,
-    ALPHA_TERM_CAP,
     CONTRAST_SERIES_ERR,
+    MERGE_TOL,
     DeltaComb,
-    TruncationNotConverged,
     alpha_series_closed,
     alpha_series_quadrature,
     bias_from_comb,
@@ -63,13 +62,62 @@ class TestDeltaComb:
         assert c.amplitude_at(2.0 + 5e-10) == pytest.approx(0.3)
         assert c.amplitude_at(2.1) == 0.0
 
+    @pytest.mark.parametrize(
+        "freqs, amps",
+        [
+            ([0.0, 1.0], [math.nan, 1.0]),
+            ([0.0, 1.0], [complex(1.0, math.inf), 1.0]),
+            ([math.nan, 1.0], [1.0, 1.0]),
+            ([math.inf, 1.0], [1.0, 1.0]),
+            ([-math.inf, 1.0], [1.0, 1.0]),
+        ],
+        ids=["nan-amplitude", "inf-amplitude", "nan-frequency", "inf-frequency", "-inf-frequency"],
+    )
+    def test_non_finite_input_raises(self, freqs, amps):
+        with pytest.raises(ValueError, match="must be finite"):
+            DeltaComb(freqs, amps)
+
+    def test_empty_comb(self):
+        c = DeltaComb([], [])
+        assert len(c) == 0
+        assert c.amplitude_at(0.0) == 0.0
+        assert isinstance(c.amplitude_at(0.0), complex)
+        assert c.is_hermitian()
+
+    def test_chain_merges_into_one_peak_at_its_midpoint(self):
+        # each step is within MERGE_TOL, the whole run is not
+        c = DeltaComb([0.0, 6e-10, 1.2e-9], [1.0, 1.0, 1.0])
+        assert c.frequencies.tolist() == [6e-10]
+        assert c.amplitudes.tolist() == [3.0]
+
+    def test_tie_goes_to_the_lower_peak(self):
+        c = DeltaComb([0.0, 2e-9], [1.0, 2.0])
+        assert c.amplitude_at(1e-9) == 1.0
+        assert c.amplitude_at([1e-9]).tolist() == [1.0]
+
+    def test_vectorised_lookup_equals_elementwise(self):
+        c = kpe_posterior_comb(6, 4.0)
+        f = c.frequencies
+        mid = 0.5 * (f[:-1] + f[1:])
+        xi = np.concatenate([f, mid, f - MERGE_TOL, f + MERGE_TOL, [f[0] - 1.0, f[-1] + 1.0]])
+        got = c.amplitude_at(xi)
+        assert got.shape == xi.shape
+        assert got.tolist() == [c.amplitude_at(float(x)) for x in xi]
+        # brute force: the first of the nearest peaks, if within MERGE_TOL
+        dist = np.abs(f[None, :] - xi[:, None])
+        nearest = np.argmin(dist, axis=1)
+        expect = np.where(dist.min(axis=1) <= MERGE_TOL, c.amplitudes[nearest], 0.0)
+        assert got.tolist() == expect.tolist()
+        assert got[: len(f)].tolist() == c.amplitudes.tolist()
+        assert not got[len(f): 2 * len(f) - 1].any()
+
 
 class TestCombFromDistribution:
     def test_zero_frequency_is_one(self):
         g = FieldGrid(-20, 20, 2**13)
         d = gaussian_distribution(g, 0.3, 2.0)
         c = comb_from_distribution(d, [1.0, 2.5])
-        assert abs(c.zero_frequency_amplitude() - 1.0) < 1e-10
+        assert abs(c.amplitude_at(0.0) - 1.0) < 1e-10
         assert c.is_hermitian(1e-10)
 
     def test_diffuse_prior_has_no_high_frequency_content(self):
@@ -119,6 +167,16 @@ class TestMeasurementComb:
         assert c.amplitude_at(0.0) == pytest.approx(0.5)
         assert c.amplitude_at(3.0) == pytest.approx(0.25)
         assert c.amplitude_at(-3.0) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("tau", [3e-10, 4.9e-10])
+    def test_side_peaks_within_merge_tol_collapse_to_zero(self, tau):
+        # +-2 tau lie within MERGE_TOL of the centre, though not of each other
+        p = RamseyParams(tau, 0.3)
+        c = measurement_comb(p, 0)
+        assert c.frequencies.tolist() == [0.0]
+        assert c.is_hermitian()
+        assert c.amplitude_at(0.0) == pytest.approx(likelihood(0, 0.0, p), abs=1e-15)
+        assert c.amplitude_at(0.0) == pytest.approx(0.97767, abs=1e-5)
 
     def test_outcome_flips_side_phase_by_pi(self):
         p = RamseyParams(1.0, 0.7, 4.0)
@@ -225,10 +283,6 @@ class TestAlphaSeries:
         assert np.all(np.diff(tail) > 0.0)
         assert abs(a[20]) < abs(a[5])
 
-    def test_closed_truncation_error_raised(self):
-        with pytest.raises(TruncationNotConverged):
-            alpha_series_closed(1, term_cap=50)
-
     def test_term_cap_precondition(self):
         with pytest.raises(ValueError):
             alpha_series_closed(32, term_cap=20)
@@ -249,19 +303,48 @@ class TestClosedSeriesTail:
     )
     def test_within_1e9_relative_of_exact(self, js):
         for j in js:
-            got = fourier._closed_coefficient(j, ALPHA_TERM_CAP)
+            got = fourier._closed_coefficient(j)
             assert abs(got - alpha_exact(j)) <= 1e-9 * abs(alpha_exact(j)), j
 
     @pytest.mark.parametrize("j, m_exact", [(1, 40_000), (4, 40_000), (200, 2 * 201**2)])
-    def test_cap_below_the_exact_terms_raises(self, j, m_exact):
+    def test_cap_below_the_exact_terms_raises(self, j, m_exact, monkeypatch):
+        real = fourier._closed_coefficient
+        calls = []
+
+        def spy(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(fourier, "_closed_coefficient", spy)
         with pytest.raises(
-            TruncationNotConverged,
-            match=f"coefficient {j}: term cap {m_exact - 1} ends before its exact terms end"
-            f" at m = {m_exact}$",
+            ValueError, match=f"require term_cap >= {m_exact} for j_max = {j}, got {m_exact - 1}$"
         ):
-            fourier._closed_coefficient(j, m_exact - 1)
-        # a cap that holds the exact terms does not change the value
-        assert fourier._closed_coefficient(j, m_exact) == fourier._closed_coefficient(j, ALPHA_TERM_CAP)
+            alpha_series_closed(j, term_cap=m_exact - 1)
+        assert calls == []
+        # a cap that just holds the exact terms is accepted, and changes no value
+        assert alpha_series_closed(j, term_cap=m_exact).tolist() == alpha_series_closed(j).tolist()
+        assert calls == 2 * list(range(1, j + 1))
+
+    def test_default_cap_holds_the_limit(self, monkeypatch):
+        calls = []
+
+        def record(j):
+            calls.append(j)
+            return -1.0
+
+        monkeypatch.setattr(fourier, "_closed_coefficient", record)
+        alpha_series_closed(ALPHA_J_LIMIT)
+        assert calls == list(range(1, ALPHA_J_LIMIT + 1))
+
+    @pytest.mark.parametrize("j_max", [-1, ALPHA_J_LIMIT + 1, 520])
+    def test_j_max_out_of_range_raises_before_any_term(self, j_max, monkeypatch):
+        # past j = 517 the running product of the term ratios overflows
+        def must_not_run(j):
+            raise AssertionError(f"coefficient {j} computed for j_max = {j_max}")
+
+        monkeypatch.setattr(fourier, "_closed_coefficient", must_not_run)
+        with pytest.raises(ValueError, match=f"require 0 <= j_max <= {ALPHA_J_LIMIT}, got {j_max}$"):
+            alpha_series_closed(j_max)
 
 
 CONTRASTS = [0.3, 0.9, 0.999, 1.0]
