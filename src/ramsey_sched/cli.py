@@ -7,9 +7,11 @@ its grid's fields, its own fields but ``policy`` and ``grid``, and its
 policy's fields but ``kind``, plus ``policies``.  ``mi-surface`` and
 ``kpe-check`` take the grid, prior and policy keys they use and override
 some of their defaults.  Artifacts are CSV files with a fixed column
-order and 17-significant-digit floats, so reruns are byte-identical;
-each run also writes a manifest echoing the resolved configuration and
-listing every artifact.
+order and 17-significant-digit floats, so reruns under one BLAS thread
+configuration are byte-identical (OpenBLAS splits a dot product of more
+than about 10000 points across its threads, so at ``n_points = 16384``
+the last bits depend on the thread count); each run also writes a
+manifest echoing the resolved configuration and listing every artifact.
 
 Each ``cmd_*`` is a function of its resolved config alone.  It returns
 ``(artifacts, failure)``: ``artifacts`` maps each CSV name to

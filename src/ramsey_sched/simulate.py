@@ -7,13 +7,18 @@ spread.
 
 ``run_trials`` is the one trial loop, and this module alone decides
 which trials advance together.  The two greedy kinds advance in
-lockstep: at each step one batch chooser call scores every trial's
-posterior, then each trial samples its outcome and updates on its own.
-``policies.myopic_choices`` scores them against one shared entropy block
-per tau (for the taus that the Fourier screen does not rule out for some
-trial), and ``policies.variance_choices`` with one stacked product with
-the harmonic table.  The other kinds share no scoring work and run one
-trial at a time, each step asking ``policies.next_params``.
+lockstep and share history prefixes: trials with the same outcomes so
+far hold one posterior, since a greedy choice depends on the posterior
+alone.  At each step one batch chooser call scores every distinct
+posterior, once, and the choice goes to every trial that holds it; each
+trial then samples its own outcome, and each distinct (history, outcome)
+is updated once, its posterior and statistics shared by every trial
+that reaches it.  ``policies.myopic_choices`` scores the posteriors
+against one shared entropy block per tau (for the taus that the Fourier
+screen does not rule out for some posterior), and
+``policies.variance_choices`` with one stacked product with the harmonic
+table.  The other kinds share no scoring work and run one trial at a
+time, each step asking ``policies.next_params``.
 Each trial draws from its own stream, derived from (master_seed,
 trial_index), in a fixed order (true field, the policy's draws, the
 outcome), so a trajectory is bit-identical whether its trial runs alone
@@ -141,14 +146,17 @@ def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]
     """Simulate the given trials; bit-identical for equal inputs.
 
     Greedy trials advance in lockstep, so each step's ``myopic_choices``
-    or ``variance_choices`` call scores every posterior at once; the
-    other kinds run one trial at a time through ``run_trial`` and hold a
-    single posterior.  Either way a trial's trajectory does not depend on
-    which other trials run beside it.
+    or ``variance_choices`` call scores every distinct posterior at once,
+    and trials that share an outcome history share its update; the other
+    kinds run one trial at a time through ``run_trial`` and hold a single
+    posterior.  Either way a trial's trajectory does not depend on which
+    other trials run beside it.
 
     Raises:
         ZeroEvidence: an outcome had (numerically) zero probability; the
-            message names the trial, the step and the master seed.
+            message names the trial, the step and the master seed.  When
+            greedy trials share the failing history, the trial named is
+            the first of them in ``trial_indices``.
     """
     indices = [int(i) for i in trial_indices]
     if cfg.policy.kind in ("myopic_entropy", "variance_min"):
@@ -164,40 +172,57 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
         b_trues = [float(cfg.true_field)] * len(indices)
     else:
         b_trues = [float(rng.normal(cfg.prior_mean, cfg.prior_std)) for rng in rngs]
-    posteriors = [initial_prior(cfg)] * len(indices)
+    # Trials that share an outcome history share its node: level[n] is the
+    # posterior of node n, at[r] is trial r's node, and nodes are numbered
+    # in order of the first trial that reaches them.  A greedy choice is a
+    # function of the posterior alone, so a node's children are keyed on
+    # (node, outcome); the blind kinds only ever run one trial here.
+    level = [initial_prior(cfg)]
+    at = [0] * len(indices)
     histories: list[list[tuple[RamseyParams, int]]] = [[] for _ in indices]
     records: list[list[StepRecord]] = [[] for _ in indices]
     for step in range(1, cfg.n_measurements + 1):
         if cfg.policy.kind == "myopic_entropy":
-            chosen = myopic_choices(posteriors, cfg.policy)
+            picks = myopic_choices(level, cfg.policy)
+            chosen = [picks[n] for n in at]
         elif cfg.policy.kind == "variance_min":
-            chosen = variance_choices(posteriors, cfg.policy)
+            picks = variance_choices(level, cfg.policy)
+            chosen = [picks[n] for n in at]
         else:
             chosen = [
-                next_params(PolicyState(post, tuple(hist), len(hist)), cfg.policy, rng)
-                for post, hist, rng in zip(posteriors, histories, rngs)
+                next_params(PolicyState(level[n], tuple(hist), len(hist)), cfg.policy, rng)
+                for n, hist, rng in zip(at, histories, rngs)
             ]
+        children: dict[tuple[int, int], int] = {}
+        next_level: list[FieldDistribution] = []
+        made: list[StepRecord] = []
         for r, params in enumerate(chosen):
             outcome = sample_outcome(rngs[r], b_trues[r], params)
-            try:
-                posterior = bayes_update(posteriors[r], params, outcome)
-            except ZeroEvidence as exc:
-                raise ZeroEvidence(
-                    f"trial {indices[r]}, step {step}, master_seed {cfg.master_seed}: {exc}"
-                ) from exc
-            posteriors[r] = posterior
-            records[r].append(
-                StepRecord(
-                    step=step,
-                    tau=params.tau,
-                    theta=params.theta,
-                    outcome=outcome,
-                    posterior_entropy=entropy(posterior),
-                    posterior_std=math.sqrt(variance(posterior)),
-                    posterior_mean=mean(posterior),
+            child = children.get((at[r], outcome))
+            if child is None:
+                try:
+                    posterior = bayes_update(level[at[r]], params, outcome)
+                except ZeroEvidence as exc:
+                    raise ZeroEvidence(
+                        f"trial {indices[r]}, step {step}, master_seed {cfg.master_seed}: {exc}"
+                    ) from exc
+                child = children[at[r], outcome] = len(next_level)
+                next_level.append(posterior)
+                made.append(
+                    StepRecord(
+                        step=step,
+                        tau=params.tau,
+                        theta=params.theta,
+                        outcome=outcome,
+                        posterior_entropy=entropy(posterior),
+                        posterior_std=math.sqrt(variance(posterior)),
+                        posterior_mean=mean(posterior),
+                    )
                 )
-            )
+            at[r] = child
+            records[r].append(made[child])
             histories[r].append((params, outcome))
+        level = next_level
     return [
         Trajectory(cfg.master_seed, i, b_true, tuple(recs))
         for i, b_true, recs in zip(indices, b_trues, records)

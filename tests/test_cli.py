@@ -174,22 +174,40 @@ class TestExitCodes:
 
 
     def test_zero_evidence_mid_run_is_3(self, tmp_path, capsys, monkeypatch):
-        # 3 myopic trials advance in lockstep, so update k belongs to
-        # trial k % 3 at step k // 3 + 1; fail trial 2 at step 3
-        real, calls = simulate.bayes_update, []
+        # 3 myopic trials share the update of a shared outcome history,
+        # made by the first trial that reaches it; fail trial 2 at step 3
+        real_update, real_trials, calls, runs = simulate.bayes_update, simulate.run_trials, [], []
+        bad = None
 
         def flaky(d, p, x):
             calls.append(None)
-            if len(calls) - 1 == 2 * 3 + 2:
+            if len(calls) - 1 == bad:
                 raise ZeroEvidence(f"outcome {x} has predictive probability 0.0 under the prior")
-            return real(d, p, x)
+            return real_update(d, p, x)
+
+        def recording(cfg, indices):
+            runs.append(real_trials(cfg, indices))
+            return runs[-1]
 
         monkeypatch.setattr(simulate, "bayes_update", flaky)
+        monkeypatch.setattr(simulate, "run_trials", recording)
         path = _write(
             tmp_path, "c.cfg",
             "policies = myopic_entropy\nn_realizations = 3\nn_measurements = 4\n"
             "n_points = 1024\ntau_grid_size = 8\ntheta_grid_size = 8\n",
         )
+        assert main(["compare", "--config", path, "--seed", "4242", "--out", str(tmp_path / "clean")]) == 0
+        # one update per distinct (history, outcome), step by step, each
+        # made by the first trial holding it; trial 2 splits off at step 1
+        outcomes = [tuple(r.outcome for r in t.records) for t in runs[0]]
+        order = [
+            (next(r for r, o in enumerate(outcomes) if o[:step] == prefix), step)
+            for step in range(1, 5)
+            for prefix in dict.fromkeys(o[:step] for o in outcomes)
+        ]
+        assert len(calls) == len(order) and order[7] == (2, 3)
+        calls.clear()
+        bad = 7
         out = tmp_path / "out"
         code = main(["compare", "--config", path, "--seed", "4242", "--out", str(out)])
         assert code == 3

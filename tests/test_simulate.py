@@ -50,6 +50,27 @@ def _cfg(kind="random", **kw):
     return SimConfig(**defaults)
 
 
+def _prefixes(trajectories, length):
+    """The distinct outcome prefixes of the given length, in order of the
+    first trial (in run order) that holds each."""
+    return list(dict.fromkeys(tuple(r.outcome for r in t.records[:length]) for t in trajectories))
+
+
+def _update_order(kind, trajectories):
+    """(trial, step) that each bayes_update call of a run_trials call
+    belongs to, in call order.  Greedy trials share a history's update,
+    made by the first trial in run order that reaches it, step by step;
+    the other kinds update trial by trial."""
+    if kind not in ("myopic_entropy", "variance_min"):
+        return [(t.trial_index, r.step) for t in trajectories for r in t.records]
+    outcomes = [tuple(r.outcome for r in t.records) for t in trajectories]
+    return [
+        (trajectories[[o[:step] for o in outcomes].index(prefix)].trial_index, step)
+        for step in range(1, len(outcomes[0]) + 1)
+        for prefix in dict.fromkeys(o[:step] for o in outcomes)
+    ]
+
+
 class TestSimConfig:
     def test_grid_must_cover_prior(self):
         with pytest.raises(ValueError):
@@ -166,7 +187,8 @@ class TestRunTrials:
         # run_trial and the batch choosers are looked up at call time, so
         # a wrapper on run_trial sees every trial of a kind that does not
         # run in lockstep, and one on a greedy kind's batch chooser sees
-        # each lockstep step with every trial's posterior
+        # each lockstep step with one posterior per distinct outcome
+        # history reached so far
         cfg = _cfg(kind, n_measurements=4)
         expect = run_trials(cfg, range(3))
         real_trial, seen, batches = simulate.run_trial, [], []
@@ -190,27 +212,79 @@ class TestRunTrials:
         assert run_trials(cfg, range(3)) == expect
         assert len(seen) == calls
         chooser = {"myopic_entropy": "myopic_choices", "variance_min": "variance_choices"}.get(kind)
-        assert batches == ([(chooser, 3)] * 4 if chooser else [])
+        sizes = [len(_prefixes(expect, step - 1)) for step in range(1, 5)]
+        assert batches == ([(chooser, n) for n in sizes] if chooser else [])
+        if chooser:
+            # at seed 99 some histories are shared and some split
+            assert sizes[0] == 1 and max(sizes) > 1 and sum(sizes) < 3 * 4
 
     @pytest.mark.parametrize("kind", ["myopic_entropy", "kpe"])
     def test_zero_evidence_names_trial_step_and_seed(self, kind, monkeypatch):
-        # greedy trials advance in lockstep (update k is trial k % 3 at
-        # step k // 3 + 1); the other kinds run trial by trial (update k
-        # is trial k // 4 at step k % 4 + 1)
+        # greedy trials share the update of a shared history, and the
+        # first trial to reach it (the lowest index here) is named; the
+        # other kinds run trial by trial (update k is trial k // 4 at
+        # step k % 4 + 1).  A failure injected at each update in turn
+        # names that update's trial and step.
         cfg = _cfg(kind, n_measurements=4)
-        bad = 4 if kind == "myopic_entropy" else 5
-        real, calls = simulate.bayes_update, []
+        real = simulate.bayes_update
+        order = _update_order(kind, run_trials(cfg, range(3)))
+        assert len(order) == len(set(order)) and len(order) <= 3 * 4
 
-        def flaky(d, p, x):
-            calls.append(None)
-            if len(calls) - 1 == bad:
-                raise ZeroEvidence("injected")
-            return real(d, p, x)
+        def failing_at(bad, calls):
+            def flaky(d, p, x):
+                calls.append(None)
+                if len(calls) - 1 == bad:
+                    raise ZeroEvidence("injected")
+                return real(d, p, x)
 
-        monkeypatch.setattr(simulate, "bayes_update", flaky)
-        with pytest.raises(ZeroEvidence, match="trial 1, step 2, master_seed 99: injected") as info:
-            run_trials(cfg, range(3))
-        assert str(info.value.__cause__) == "injected"
+            return flaky
+
+        calls = []
+        monkeypatch.setattr(simulate, "bayes_update", failing_at(-1, calls))
+        run_trials(cfg, range(3))
+        assert len(calls) == len(order)
+        for bad, (trial, step) in enumerate(order):
+            monkeypatch.setattr(simulate, "bayes_update", failing_at(bad, []))
+            with pytest.raises(ZeroEvidence, match=rf"trial {trial}, step {step}, master_seed 99: injected$") as info:
+                run_trials(cfg, range(3))
+            assert str(info.value.__cause__) == "injected"
+        # myopic trials 0 and 1 share their first three outcomes (two
+        # updates per step), so trial 1 is first named by update 7, at step 4
+        if kind == "myopic_entropy":
+            assert order[:8] == [(0, 1), (2, 1), (0, 2), (2, 2), (0, 3), (2, 3), (0, 4), (1, 4)]
+        else:
+            assert order[5] == (1, 2)
+
+
+class TestPrefixSharing:
+    # 16 greedy trials from one prior hold at most 2^(s-1) distinct
+    # histories at step s, so most of them share every early step
+    @pytest.mark.parametrize("kind", ["myopic_entropy", "variance_min"])
+    def test_each_distinct_history_is_scored_and_updated_once(self, kind, monkeypatch):
+        cfg = _cfg(
+            kind, n_measurements=5, n_realizations=16, tau_grid_size=8,
+            theta_grid_size=8, grid=FieldGrid(-20.0, 20.0, 2**9),
+        )
+        alone = [run_trial(cfg, i) for i in range(16)]
+        name = "myopic_choices" if kind == "myopic_entropy" else "variance_choices"
+        real_choices, real_update = getattr(simulate, name), simulate.bayes_update
+        batches, updates = [], []
+
+        def choices(ds, cfg):
+            batches.append((len(ds), len({id(d) for d in ds})))
+            return real_choices(ds, cfg)
+
+        def update(d, p, x):
+            updates.append(x)
+            return real_update(d, p, x)
+
+        monkeypatch.setattr(simulate, name, choices)
+        monkeypatch.setattr(simulate, "bayes_update", update)
+        assert run_trials(cfg, range(16)) == alone
+        sizes = [len(_prefixes(alone, step - 1)) for step in range(1, 6)]
+        assert batches == [(n, n) for n in sizes]
+        assert updates == [p[-1] for step in range(1, 6) for p in _prefixes(alone, step)]
+        assert len(updates) < 16 * 5 and len(_prefixes(alone, 5)) > 2
 
 
 class TestRunEnsemble:
