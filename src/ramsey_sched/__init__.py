@@ -16,7 +16,7 @@ from .bayes import (
     likelihood,
     mean,
     mutual_information,
-    mutual_information_over_coherence,
+    mutual_information_surface,
     predictive_prob,
     spike_distribution,
     uniform_distribution,

@@ -251,25 +251,41 @@ def mutual_information(d: FieldDistribution, p: RamseyParams) -> float:
     return h_x - h_x_given_b
 
 
-def mutual_information_over_coherence(
-    d: FieldDistribution, tau: float, theta: float, coherence_times
+def mutual_information_surface(
+    d: FieldDistribution, taus, theta: float, coherence_times
 ) -> np.ndarray:
-    """:func:`mutual_information` at one (tau, theta) for each coherence time.
+    """:func:`mutual_information` at one theta over a (T, tau) grid.
 
-    The fringe cos(2 tau b + theta) does not depend on T, so it is formed
-    once and each T only rescales it by its contrast.  Each value is
-    bit-identical to ``mutual_information(d, RamseyParams(tau, theta, T))``,
-    and every T is validated as that ``RamseyParams`` would.
+    Element [i, k] is bit-identical to
+    ``mutual_information(d, RamseyParams(taus[k], theta, coherence_times[i]))``,
+    and every cell is validated as that ``RamseyParams`` would be.  q is
+    formed once per surface.  The fringe cos(2 tau b + theta) does not
+    depend on T, so it is formed once per tau, and one (T, N) block of
+    l0 = 0.5 contrast_T fringe + 0.5 is built in scratch buffers that every
+    tau reuses.  Each T's three sums stay 1-D dots, as in the scalar
+    oracle: a matrix product over the block may round differently.
     """
-    params = [RamseyParams(tau, theta, T) for T in coherence_times]
-    fringe = _fringe(d.grid.points, RamseyParams(tau, theta))
+    n_t = len(coherence_times)
     q = d.grid.trapz_weights * d.density
-    out = np.empty(len(params))
-    for i, p in enumerate(params):
-        l0 = 0.5 + 0.5 * p.contrast * fringe
-        l1 = 1.0 - l0
-        h_x = -(xlogx(float(q @ l0)) + xlogx(float(q @ l1)))
-        out[i] = h_x - float(q @ -(xlogx(l0) + xlogx(l1)))
+    # the (T, N) blocks of both outcome likelihoods, and the logs of both
+    lik = np.empty((2, n_t, d.grid.n_points))
+    log = np.empty_like(lik)
+    l0, l1 = lik
+    out = np.empty((n_t, len(taus)))
+    for k, tau in enumerate(taus):
+        fringe = _fringe(d.grid.points, RamseyParams(tau, theta))
+        half_contrast = [0.5 * RamseyParams(tau, theta, T).contrast for T in coherence_times]
+        np.multiply.outer(half_contrast, fringe, out=l0)
+        l0 += 0.5
+        np.subtract(1.0, l0, out=l1)
+        h_x = [-(xlogx(float(q @ a)) + xlogx(float(q @ b))) for a, b in zip(l0, l1)]
+        # l0 <- xlogx(l0) + xlogx(l1), the negated pointwise outcome entropy
+        np.maximum(lik, _TINY, out=log)
+        np.log(log, out=log)
+        lik *= log
+        l0 += l1
+        for i, row in enumerate(l0):
+            out[i, k] = h_x[i] + float(q @ row)
     return out
 
 

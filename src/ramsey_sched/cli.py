@@ -44,7 +44,7 @@ from .bayes import (
     ZeroEvidence,
     gaussian_distribution,
     mutual_information,  # noqa: F401  (perfbench's instrument() wraps cli.mutual_information)
-    mutual_information_over_coherence,
+    mutual_information_surface,
 )
 from .fourier import (
     ALPHA_J_LIMIT,
@@ -245,9 +245,11 @@ def _grid(cfg: dict) -> FieldGrid:
 
 
 def _check_mi_surface_keys(cfg: dict) -> None:
-    """The exposure linspace and the coherence times, each error naming its key."""
+    """The phase, the exposure linspace and the coherence times, each error naming its key."""
     if cfg["tau_grid_size"] < 1:
         raise ConfigError(f"key 'tau_grid_size': require >= 1, got {cfg['tau_grid_size']}")
+    if not math.isfinite(cfg["theta"]):
+        raise ConfigError(f"key 'theta': require finite theta, got {cfg['theta']}")
     tau_min, tau_max = cfg["tau_min"], cfg["tau_max"]
     if not 0.0 <= tau_min < math.inf:
         raise ConfigError(f"key 'tau_min': require finite tau_min >= 0, got {tau_min}")
@@ -261,9 +263,10 @@ def _check_mi_surface_keys(cfg: dict) -> None:
 def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
     """Single-measurement information over a (T, tau) grid.
 
-    Each tau's fringe cos(2 tau b + theta) is formed once and shared by
-    every coherence time (``mutual_information_over_coherence``); the rows
-    stay T-major, tau ascending within each T.
+    One call of ``mutual_information_surface`` scores the whole (T, tau)
+    grid: q is formed once, each tau's fringe cos(2 tau b + theta) once,
+    and every coherence time only rescales it.  The rows stay T-major,
+    tau ascending within each T.
     """
     _check_mi_surface_keys(cfg)
     grid = _grid(cfg)
@@ -272,12 +275,12 @@ def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
     check_prior_coverage(grid, cfg["prior_mean"], cfg["prior_std"])
     taus = [float(tau) for tau in np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])]
     Ts = cfg["coherence_times"]
-    by_tau = [mutual_information_over_coherence(prior, tau, cfg["theta"], Ts) for tau in taus]
+    surface = mutual_information_surface(prior, taus, cfg["theta"], Ts)
     theta = RamseyParams(0.0, cfg["theta"]).theta  # wrapped into [0, 2 pi)
     rows = [
-        (float(T), tau, theta, float(mi[i]))
-        for i, T in enumerate(Ts)
-        for tau, mi in zip(taus, by_tau)
+        (float(T), tau, theta, float(mi))
+        for T, row in zip(Ts, surface)
+        for tau, mi in zip(taus, row)
     ]
     return {"mi_surface.csv": (["T", "tau", "theta", "mutual_information_nats"], rows)}, None
 

@@ -29,6 +29,7 @@ reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -196,10 +197,36 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
     coeffs = np.empty(j_max + 1)
     coeffs[0] = float(np.mean(h))
     if j_max >= 1:
-        j = np.arange(1, j_max + 1)
-        coeffs[1:] = 2.0 * (np.cos(2.0 * np.outer(j, x)) @ h) / n_panels
+        # the basis cos(2 j x), built in place in one buffer; doubling is
+        # exact, so (2 j) x rounds as 2 (j x) does
+        basis = np.multiply.outer(2.0 * np.arange(1, j_max + 1), x)
+        np.cos(basis, out=basis)
+        coeffs[1:] = 2.0 * (basis @ h) / n_panels
     coeffs.flags.writeable = False
     return coeffs
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma of each element; numpy has no lgamma."""
+    return np.array([math.lgamma(v) for v in x])
+
+
+@functools.lru_cache(maxsize=1)
+def _series_arrays(m_exact: int) -> tuple[np.ndarray, ...]:
+    """The j-independent arrays of every coefficient whose exact terms end
+    at m_exact, read-only: m, (m - 1/2) m and m^2 for m = 0..m_exact, and
+    the tail's Simpson nodes u, x and lgamma(2x + 1).  Every j <= 140
+    shares m_exact = ``_SERIES_EXACT`` and each larger j has its own, so
+    one entry is all that a run over j reuses."""
+    m = np.arange(m_exact + 1, dtype=float)
+    half = m - 0.5
+    half *= m
+    u = np.arange(1, _TAIL_INTERVALS + 1) / _TAIL_INTERVALS
+    x = (m_exact + 0.5) / (u * u)
+    arrays = (m, half, m * m, u, x, _lgamma(2.0 * x + 1.0))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _closed_coefficient(j: int) -> float:
@@ -218,17 +245,16 @@ def _closed_coefficient(j: int) -> float:
     correction, t'(M+1/2)/24, is at most about 1e-18 (1e-11 of alpha_j),
     so it is left out.  The integral is composite Simpson in
     u = sqrt((M+1/2)/x) over (0, 1], where the integrand behaves like
-    u^2 and is 0 at u = 0.
+    u^2 and is 0 at u = 0.  The arrays that do not depend on j come
+    from ``_series_arrays(M)``.
     """
     s = 2 * (j + 1) ** 2
     m_exact = max(s, _SERIES_EXACT)
-    m = np.arange(j, m_exact + 1, dtype=float)
+    m_all, half_all, square_all, u, x, lgamma_2x = _series_arrays(m_exact)
+    m, half = m_all[j:], half_all[j:]
     # weight(m) / weight(m - 1) = ((2m - 1) m / 2) / (m^2 - j^2); m = j
     # has no ratio, and its weight is 4^-j alone
-    half = m - 0.5
-    half *= m
-    terms = m * m
-    terms -= j * j
+    terms = square_all[j:] - j * j
     terms[0] = half[0]
     np.divide(half, terms, out=terms)
     np.multiply.accumulate(terms, out=terms)
@@ -242,11 +268,8 @@ def _closed_coefficient(j: int) -> float:
     terms /= den
 
     a = m_exact + 0.5
-    u = np.arange(1, _TAIL_INTERVALS + 1) / _TAIL_INTERVALS
-    x = a / (u * u)
-    lgamma = np.vectorize(math.lgamma, otypes=[float])
     log_t = (
-        lgamma(2.0 * x + 1.0) - lgamma(x + j + 1.0) - lgamma(x - j + 1.0) - x * math.log(4.0)
+        lgamma_2x - _lgamma(x + j + 1.0) - _lgamma(x - j + 1.0) - x * math.log(4.0)
         + np.log((x - s) / (2.0 * x * (2.0 * x - 1.0) * (x + j + 1.0)))
     )
     # Simpson weights 4, 2, ..., 4, 1 of u_1..u_n (u_0 = 0 adds nothing)

@@ -22,7 +22,7 @@ from ramsey_sched.bayes import (
     likelihood,
     mean,
     mutual_information,
-    mutual_information_over_coherence,
+    mutual_information_surface,
     predictive_prob,
     spike_distribution,
     uniform_distribution,
@@ -332,7 +332,7 @@ class TestMutualInformation:
 
 
 class TestMutualInformationOverCoherence:
-    """The shared-fringe scorer against the scalar oracle, value by value."""
+    """The (T, tau) surface kernel against the scalar oracle, cell by cell."""
 
     TIMES = [0.3, 2.0, 2.0, 10.0, math.inf]
 
@@ -344,16 +344,33 @@ class TestMutualInformationOverCoherence:
             d = bayes_update(d, RamseyParams(tau, theta, 7.0), x)
         return d
 
+    @staticmethod
+    def _oracle(d, taus, theta, times):
+        return [[mutual_information(d, RamseyParams(tau, theta, T)) for tau in taus] for T in times]
+
     @pytest.mark.parametrize("tau, theta", [(0.0, 0.7), (0.05, -1.0), (1.37, 7.5), (4.9, 3.0)])
     def test_bit_identical_to_the_oracle(self, tau, theta):
+        # the column sits between others, so its block reuses their scratch
         d = self._posterior()
-        got = mutual_information_over_coherence(d, tau, theta, self.TIMES)
-        expect = [mutual_information(d, RamseyParams(tau, theta, T)) for T in self.TIMES]
-        assert got.tolist() == expect
+        taus = [2.2, tau, 0.0]
+        got = mutual_information_surface(d, taus, theta, self.TIMES)
+        assert got.shape == (len(self.TIMES), len(taus))
+        assert got.tolist() == self._oracle(d, taus, theta, self.TIMES)
+
+    def test_grid_bit_identical_to_the_oracle(self):
+        # tau from 0, theta outside [0, 2 pi), T = 0.3, a repeated T and T = inf
+        d = self._posterior()
+        taus = [float(tau) for tau in np.linspace(0.0, 5.0, 17)]
+        got = mutual_information_surface(d, taus, 7.5, self.TIMES)
+        assert got.tolist() == self._oracle(d, taus, 7.5, self.TIMES)
 
     def test_no_coherence_times(self):
-        got = mutual_information_over_coherence(self._posterior(), 1.0, 0.0, [])
-        assert got.shape == (0,)
+        got = mutual_information_surface(self._posterior(), [1.0, 2.0], 0.0, [])
+        assert got.shape == (0, 2)
+
+    def test_no_exposure_times(self):
+        got = mutual_information_surface(self._posterior(), [], 0.0, self.TIMES)
+        assert got.shape == (len(self.TIMES), 0)
 
     @pytest.mark.parametrize("times, tau, theta, message", [
         ([2.0, 0.0], 1.0, 0.0, "coherence_time > 0, got 0.0"),
@@ -363,7 +380,8 @@ class TestMutualInformationOverCoherence:
     ])
     def test_validates_as_ramsey_params(self, times, tau, theta, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            mutual_information_over_coherence(self._posterior(), tau, theta, times)
+            mutual_information_surface(self._posterior(), [0.5, tau], theta, times)
+
 
 class TestExpectedPosteriorFunctional:
     def test_tau_zero_entropy(self):

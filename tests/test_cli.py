@@ -236,11 +236,13 @@ class TestExitCodes:
         ("mi-surface", "prior_mean = nan", "finite mean, got nan"),
     ])
     def test_non_finite_control_is_2(self, tmp_path, capsys, command, line, named):
-        # rejected where the value is made, before any scoring or output
+        # rejected where the value is made, before any scoring or output;
+        # mi-surface checks its theta with its other keys and names it
         path = _write(tmp_path, "c.cfg", line + "\n")
         out = tmp_path / "out"
         assert main([command, "--config", path, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"config error: require {named}\n"
+        key = "key 'theta': " if command == "mi-surface" and line.startswith("theta ") else ""
+        assert capsys.readouterr().err == f"config error: {key}require {named}\n"
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("args, line", [
@@ -273,6 +275,7 @@ class TestExitCodes:
         ("coherence_times = 0\n", "key 'coherence_times': require every value > 0 (inf allowed), got 0.0"),
         ("coherence_times = 2,-1\n", "key 'coherence_times': require every value > 0 (inf allowed), got -1.0"),
         ("coherence_times = inf,nan\n", "key 'coherence_times': require every value > 0 (inf allowed), got nan"),
+        ("theta = -inf\n", "key 'theta': require finite theta, got -inf"),
     ])
     def test_mi_surface_bad_exposure_or_coherence_is_2(self, tmp_path, capsys, lines, named):
         # rejected up front, naming the key, with no numpy warning and no output

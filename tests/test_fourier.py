@@ -261,6 +261,16 @@ class TestAlphaSeries:
         for j in [1, 2, 3, 5, 10, 32]:
             assert a[j] == pytest.approx(alpha_exact(j), abs=1e-10)
 
+    @pytest.mark.parametrize("j_max", [1, 32, ALPHA_J_LIMIT])
+    def test_quadrature_equals_the_outer_product_formula(self, j_max):
+        # the in-place basis against the basis built from np.outer, bit for bit
+        n = 2**14
+        x = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        h = binary_entropy(0.5 * (1.0 + np.cos(x)))
+        j = np.arange(1, j_max + 1)
+        expect = 2.0 * (np.cos(2.0 * np.outer(j, x)) @ h) / n
+        assert alpha_series_quadrature(j_max)[1:].tolist() == expect.tolist()
+
     def test_sine_component_vanishes(self):
         # even symmetry: replacing cos(2jx) by sin(2jx) integrates to zero
         n = 2**13
@@ -305,6 +315,56 @@ class TestClosedSeriesTail:
         for j in js:
             got = fourier._closed_coefficient(j)
             assert abs(got - alpha_exact(j)) <= 1e-9 * abs(alpha_exact(j)), j
+
+    # 140 is the last j whose exact terms end at 40000, 141 the first past it
+    CACHED_JS = [1, 32, 140, 141, ALPHA_J_LIMIT]
+
+    @staticmethod
+    def _uncached_coefficient(j):
+        """_closed_coefficient with every array formed afresh, step for step."""
+        s = 2 * (j + 1) ** 2
+        m_exact = max(s, fourier._SERIES_EXACT)
+        m = np.arange(j, m_exact + 1, dtype=float)
+        half = (m - 0.5) * m
+        ratios = m * m - j * j
+        ratios[0] = half[0]
+        terms = np.multiply.accumulate(half / ratios) * 0.25**j
+        terms = terms * (m - s) / ((m + (j + 1)) * half * 4.0)
+        a = m_exact + 0.5
+        n = fourier._TAIL_INTERVALS
+        u = np.arange(1, n + 1) / n
+        x = a / (u * u)
+        lgamma = np.vectorize(math.lgamma, otypes=[float])
+        log_t = (
+            lgamma(2.0 * x + 1.0) - lgamma(x + j + 1.0) - lgamma(x - j + 1.0) - x * math.log(4.0)
+            + np.log((x - s) / (2.0 * x * (2.0 * x - 1.0) * (x + j + 1.0)))
+        )
+        simpson = np.tile([4.0, 2.0], n // 2)
+        simpson[-1] = 1.0
+        tail = (np.exp(log_t) * 2.0 * a / u**3) @ simpson / (3.0 * n)
+        return float(np.sum(terms) + tail)
+
+    def test_shared_arrays_change_no_value(self):
+        def cold(j):
+            fourier._series_arrays.cache_clear()
+            return fourier._closed_coefficient(j)
+
+        values = [cold(j) for j in self.CACHED_JS]
+        assert values == [self._uncached_coefficient(j) for j in self.CACHED_JS]
+        fourier._series_arrays.cache_clear()
+        assert [fourier._closed_coefficient(j) for j in self.CACHED_JS] == values
+        fourier._series_arrays.cache_clear()
+        backward = [fourier._closed_coefficient(j) for j in reversed(self.CACHED_JS)]
+        assert backward[::-1] == values
+
+    @pytest.mark.parametrize("m_exact", [40_000, 2 * 142**2])
+    def test_shared_arrays_are_read_only(self, m_exact):
+        arrays = fourier._series_arrays(m_exact)
+        assert len(arrays[0]) == m_exact + 1
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     @pytest.mark.parametrize("j, m_exact", [(1, 40_000), (4, 40_000), (200, 2 * 201**2)])
     def test_cap_below_the_exact_terms_raises(self, j, m_exact, monkeypatch):
