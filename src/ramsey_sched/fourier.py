@@ -284,7 +284,8 @@ def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarra
 
     Returns a read-only array laid out as :func:`alpha_series_quadrature`'s.
     The series is stated for j >= 1; the j = 0 coefficient is the profile
-    mean and is always taken from the quadrature route.  Terms decay like
+    mean 2 ln 2 - 1, from its closed form (:func:`contrast_entropy_series`
+    at C = 1), not from the quadrature oracle.  Terms decay like
     m**-2.5: each coefficient sums them exactly up to
     m = max(2(j+1)^2, 40000) and its positive tail past there as an
     integral, so every j <= ``ALPHA_J_LIMIT`` is within 1e-9 of the exact
@@ -300,7 +301,7 @@ def alpha_series_closed(j_max: int, term_cap: int = ALPHA_TERM_CAP) -> np.ndarra
     if term_cap < m_exact:
         raise ValueError(f"require term_cap >= {m_exact} for j_max = {j_max}, got {term_cap}")
     coeffs = np.empty(j_max + 1)
-    coeffs[0] = alpha_series_quadrature(0)[0]
+    coeffs[0] = contrast_entropy_series(1.0, 0)[0][0]
     for j in range(1, j_max + 1):
         coeffs[j] = _closed_coefficient(j)
     coeffs.flags.writeable = False

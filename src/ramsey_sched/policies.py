@@ -17,9 +17,10 @@ The two matrix kernels give the values of the scalar
 ``bayes.mutual_information`` and ``bayes.expected_posterior_functional``
 cell by cell, up to float roundoff:
 
-- On an even theta grid only the thetas below pi are scored and their
-  columns are copied to theta + pi; an odd grid has no such partners and
-  is scored in full.
+- On an even theta grid only the thetas below pi are scored, and the
+  score arrays hold those columns alone: a cell at or above pi ties its
+  partner pi below, which the tie rule reaches first.  An odd grid has
+  no such partners and is scored in full.
 - With q the trapezoid-weighted posterior, C = exp(-tau/T) and
   c, s = cos, sin(2 tau b), every outcome moment sum_b w(b) l0(b) is
   w.1/2 + (C/2)(cos(theta) w.c - sin(theta) w.s).  The predictive
@@ -233,21 +234,14 @@ def _harmonic_table(grid: FieldGrid, cfg: PolicyConfig) -> np.ndarray:
 
 
 def _scored_theta_count(cfg: PolicyConfig) -> int:
-    """Leading theta columns the kernels evaluate; the rest mirror them.
+    """Leading theta columns the kernels evaluate and choose from.
 
     On an even grid the cells from index K/2 on sit exactly pi above the
-    first K/2, so only the thetas below pi are scored.  An odd grid holds
-    no theta + pi partners and is scored in full.
+    first K/2 and score the same, so only the thetas below pi are scored.
+    An odd grid holds no theta + pi partners and is scored in full.
     """
     k = cfg.theta_grid_size
     return k // 2 if k % 2 == 0 else k
-
-
-def _full_theta(scored: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Widen scores over the scored thetas (last axis) to the whole theta grid."""
-    if scored.shape[-1] == cfg.theta_grid_size:
-        return scored
-    return np.concatenate((scored, scored), axis=-1)
 
 
 def _shared_grid(ds: Sequence[FieldDistribution]) -> FieldGrid:
@@ -260,7 +254,8 @@ def _shared_grid(ds: Sequence[FieldDistribution]) -> FieldGrid:
 def _mi_matrix(
     ds: Sequence[FieldDistribution], cfg: PolicyConfig, need: np.ndarray | None = None
 ) -> np.ndarray:
-    """Mutual information for every (posterior, tau, theta) cell, natural units.
+    """Mutual information for every (posterior, tau, scored theta) cell,
+    natural units.
 
     The posteriors must share one grid.  Each tau's entropy block is built
     once and scored against every posterior; posterior r's scores are
@@ -315,7 +310,7 @@ def _mi_matrix(
             p1 = q0 - p0
             h_x = -(xlogx(p0) + xlogx(p1))
             out[r, i, cols] = np.where(need[r, i, cols], h_x + xlx @ q, -np.inf)
-    return _full_theta(out, cfg)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -395,8 +390,8 @@ def _screen(
 
 
 def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> np.ndarray:
-    """Outcome-averaged posterior variance for every (posterior, tau, theta)
-    cell.
+    """Outcome-averaged posterior variance for every (posterior, tau,
+    scored theta) cell.
 
     The posteriors must share one grid.  Their w = q, q b, q b^2 against c
     and s of every tau come from one stacked product with the harmonic
@@ -429,7 +424,7 @@ def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig
         mm = np.where(ok, m0, 1.0)
         var = np.maximum(m2 / mm - (m1 / mm) ** 2, 0.0)
         out += np.where(ok, m0 * var, 0.0)
-    return _full_theta(out, cfg)
+    return out
 
 
 def _best_cell(scores: np.ndarray, cfg: PolicyConfig) -> tuple[float, float]:
@@ -466,11 +461,6 @@ def next_params_kpe(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
     return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
 
 
-def _best_params(scores: np.ndarray, cfg: PolicyConfig) -> RamseyParams:
-    tau, theta = _best_cell(scores, cfg)
-    return RamseyParams(tau, theta, coherence_time=cfg.coherence_time)
-
-
 def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[RamseyParams]:
     """Tie-rule cell of each posterior's MI matrix, building only the cells
     that the Fourier screen cannot rule out.
@@ -498,7 +488,8 @@ def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[R
     lower[:, rows] = np.maximum(lower[:, rows], est.max(axis=2) - width - _ROUNDING_MARGIN)
     upper[:, rows] = np.minimum(upper[:, rows], est + width[:, :, None])
     cutoff = lower.max(axis=1) - TIE_TOL - _ROUNDING_MARGIN
-    return [_best_params(m, cfg) for m in _mi_matrix(ds, cfg, upper >= cutoff[:, None, None])]
+    scores = _mi_matrix(ds, cfg, upper >= cutoff[:, None, None])
+    return [RamseyParams(*_best_cell(m, cfg), coherence_time=cfg.coherence_time) for m in scores]
 
 
 def next_params_myopic_entropy(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
@@ -514,7 +505,8 @@ def variance_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list
     """Tie-rule cell of each posterior's expected-variance matrix, argmin
     over every cell; all posteriors are scored by one kernel call, each
     exactly as alone."""
-    return [_best_params(-m, cfg) for m in _expected_variance_matrix(ds, cfg)]
+    scores = _expected_variance_matrix(ds, cfg)
+    return [RamseyParams(*_best_cell(-m, cfg), coherence_time=cfg.coherence_time) for m in scores]
 
 
 def next_params_variance_min(state: PolicyState, cfg: PolicyConfig) -> RamseyParams:
@@ -532,9 +524,7 @@ def next_params(state: PolicyState, cfg: PolicyConfig, rng: np.random.Generator 
         return next_params_kpe(state, cfg)
     if cfg.kind == "myopic_entropy":
         return next_params_myopic_entropy(state, cfg)
-    if cfg.kind == "variance_min":
-        return next_params_variance_min(state, cfg)
-    raise ValueError(f"unknown policy kind {cfg.kind!r}")
+    return next_params_variance_min(state, cfg)
 
 
 def tau_cell_index(cfg: PolicyConfig, tau: float) -> int:

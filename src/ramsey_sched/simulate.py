@@ -133,10 +133,6 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(master_seed), int(trial_index)])
 
 
-def initial_prior(cfg: SimConfig) -> FieldDistribution:
-    return gaussian_distribution(cfg.grid, cfg.prior_mean, cfg.prior_std)
-
-
 def sample_outcome(rng: np.random.Generator, b_true: float, p: RamseyParams) -> int:
     """Draw one outcome from the true field's likelihood (one uniform draw)."""
     return 0 if rng.random() < likelihood(0, b_true, p) else 1
@@ -177,7 +173,7 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
     # in order of the first trial that reaches them.  A greedy choice is a
     # function of the posterior alone, so a node's children are keyed on
     # (node, outcome); the blind kinds only ever run one trial here.
-    level = [initial_prior(cfg)]
+    level = [gaussian_distribution(cfg.grid, cfg.prior_mean, cfg.prior_std)]
     at = [0] * len(indices)
     histories: list[list[tuple[RamseyParams, int]]] = [[] for _ in indices]
     records: list[list[StepRecord]] = [[] for _ in indices]

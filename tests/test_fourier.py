@@ -286,6 +286,16 @@ class TestAlphaSeries:
             closed[1:], quad[1:], atol=1e-8
         )
 
+    def test_closed_alpha0_needs_no_quadrature(self, monkeypatch):
+        # alpha_0 is the closed profile mean 2 ln 2 - 1, not the oracle's
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("alpha_series_closed called the quadrature")
+
+        monkeypatch.setattr(fourier, "alpha_series_quadrature", must_not_run)
+        a = alpha_series_closed(32)
+        assert a[0] == contrast_entropy_series(1.0, 0)[0][0]
+        assert a[0] == pytest.approx(ALPHA0_EXACT, abs=1e-15)
+
     def test_closed_signs_and_monotonicity(self):
         a = alpha_series_closed(20)
         tail = a[1:]

@@ -341,6 +341,11 @@ def _oracle_matrix(d, cfg, oracle):
     ])
 
 
+def _scored(full, cfg):
+    # the columns of a full-grid matrix that the kernels score
+    return full[..., : policies._scored_theta_count(cfg)]
+
+
 def _asymmetric_posterior(grid, coherence_time):
     d = gaussian_distribution(grid, 0.4, 2.0)
     for tau, theta, x in ((1.3, 0.4, 1), (0.7, 2.1, 0), (2.9, 5.0, 1)):
@@ -374,16 +379,20 @@ class TestScoringKernelsAgainstScalarOracle:
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
     @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
     def test_every_cell_and_the_chosen_cell(self, coherence_time, theta_grid_size):
-        # an even theta grid is scored below pi and mirrored; an odd one
-        # has no theta + pi partners and is scored in full
+        # an even theta grid is scored below pi, and the columns from pi on
+        # repeat those; an odd one has no theta + pi partners and is scored
+        # in full
         cfg = PolicyConfig(
             tau_min=0.05, tau_max=4.0, tau_grid_size=6,
             theta_grid_size=theta_grid_size, coherence_time=coherence_time,
         )
         d = _asymmetric_posterior(GRID, coherence_time)
+        n = policies._scored_theta_count(cfg)
         for kernel, oracle, policy, sign in KERNELS:
             want = _oracle_matrix(d, cfg, oracle)
-            np.testing.assert_allclose(kernel(d, cfg), want, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(kernel(d, cfg), _scored(want, cfg), rtol=0.0, atol=1e-12)
+            if n < theta_grid_size:
+                np.testing.assert_allclose(want[:, n:], want[:, :n], rtol=0.0, atol=1e-12)
             p = policy(_state(d), cfg)
             assert (p.tau, p.theta) == _best_cell(sign * want, cfg)
 
@@ -403,7 +412,7 @@ class TestScoringKernelsAgainstScalarOracle:
         for kernel, oracle, _, _ in KERNELS:
             got = kernel(d, cfg)
             assert np.all(np.isfinite(got))
-            np.testing.assert_allclose(got, _oracle_matrix(d, cfg, oracle), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got, _scored(_oracle_matrix(d, cfg, oracle), cfg), rtol=0.0, atol=1e-12)
 
     def test_cosine_term_rounding_past_one(self):
         # On this grid cos(theta) cos(2 tau b) - sin(theta) sin(2 tau b)
@@ -416,17 +425,78 @@ class TestScoringKernelsAgainstScalarOracle:
                 got = kernel(d, cfg)
                 assert np.all(np.isfinite(got))
                 want = _oracle_matrix(d, cfg, oracle)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(got, _scored(want, cfg), rtol=0.0, atol=1e-12)
                 p = policy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(sign * want, cfg)
         # the outcome at that cell is certain, so it carries no information
         assert _mi_one(spike, cfg)[0, j] == 0.0
 
 
+class TestTieRuleOnScoredColumns:
+    # the choosers take the tie-rule cell of the scored columns alone; on
+    # an even grid the rest of the grid holds each scored column again, pi
+    # above it, and the tie rule reaches the copy below pi first
+    CFG = PolicyConfig(tau_min=0.05, tau_max=4.0, tau_grid_size=5, theta_grid_size=8)
+
+    @staticmethod
+    def _mirrored(half):
+        return np.concatenate((half, half), axis=-1)
+
+    def test_scored_thetas_lead_the_grid_and_sit_pi_below_the_rest(self):
+        n = policies._scored_theta_count(self.CFG)
+        thetas = theta_search_grid(self.CFG)
+        assert n == self.CFG.theta_grid_size // 2
+        assert np.all(thetas[:n] < math.pi)
+        np.testing.assert_allclose(thetas[n:] - math.pi, thetas[:n], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("ties", [
+        [(2, 1), (2, 3)],          # within one tau row
+        [(3, 0), (1, 3)],          # across rows: the smaller tau wins
+        [(0, 3)],                  # one cell, tied only with its own copy
+        [(4, 2), (4, 0), (2, 2)],  # both at once
+    ])
+    def test_even_grid_exact_ties(self, ties):
+        half = np.arange(20.0).reshape(5, 4) / 40.0
+        for i, j in ties:
+            half[i, j] = 1.0
+        cell = _best_cell(half, self.CFG)
+        assert cell == _best_cell(self._mirrored(half), self.CFG)
+        i, j = min(ties)
+        assert cell == (float(tau_search_grid(self.CFG)[i]), float(theta_search_grid(self.CFG)[j]))
+
+    def test_even_grid_near_ties_and_masked_cells(self):
+        # ties within TIE_TOL, not only exact ones, and the -inf cells that
+        # a need mask leaves
+        half = np.full((5, 4), -np.inf)
+        half[3, 3] = 0.5
+        half[3, 1] = 0.5 - 0.5 * TIE_TOL
+        half[4, 0] = 0.5 + 0.25 * TIE_TOL
+        half[1, 2] = 0.5 - 2.0 * TIE_TOL
+        cell = _best_cell(half, self.CFG)
+        assert cell == _best_cell(self._mirrored(half), self.CFG)
+        assert cell == (float(tau_search_grid(self.CFG)[3]), float(theta_search_grid(self.CFG)[1]))
+
+    def test_even_grid_random_ties(self):
+        # few distinct values, so most matrices hold several tied maxima
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            half = rng.integers(0, 3, size=(5, 4)).astype(float)
+            assert _best_cell(half, self.CFG) == _best_cell(self._mirrored(half), self.CFG)
+            assert _best_cell(-half, self.CFG) == _best_cell(self._mirrored(-half), self.CFG)
+
+    @pytest.mark.parametrize("theta_grid_size", [1, 9, 15])
+    def test_odd_grid_scores_every_column(self, theta_grid_size):
+        cfg = replace(SMALL_CFG, theta_grid_size=theta_grid_size)
+        assert policies._scored_theta_count(cfg) == theta_grid_size
+        d = _asymmetric_posterior(GRID, cfg.coherence_time)
+        for kernel, _, _, _ in KERNELS:
+            assert kernel(d, cfg).shape == (cfg.tau_grid_size, theta_grid_size)
+
+
 class TestLockstepMiKernel:
     def _assert_each_alone(self, ds, cfg):
         got = _mi_matrix(ds, cfg)
-        assert got.shape == (len(ds), cfg.tau_grid_size, cfg.theta_grid_size)
+        assert got.shape == (len(ds), cfg.tau_grid_size, policies._scored_theta_count(cfg))
         for d, scores in zip(ds, got):
             assert np.array_equal(scores, _mi_one(d, cfg))
         chosen = myopic_choices(ds, cfg)
@@ -492,7 +562,7 @@ def _assert_screen_covers(ds, cfg):
     for k in (1, _SCREEN_TERMS):
         est, width = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), k)
         assert width.shape == (len(ds), cfg.tau_grid_size)
-        assert np.all(np.abs(exact[:, :, : est.shape[2]] - est) <= width[:, :, None] + _ROUNDING_MARGIN)
+        assert np.all(np.abs(exact - est) <= width[:, :, None] + _ROUNDING_MARGIN)
     return width
 
 
@@ -544,11 +614,10 @@ class TestBoundPrunedChoice:
         need[2, 5] = True
         got = _mi_matrix(ds, cfg, need)
         full = _mi_matrix(ds, cfg)
-        built = policies._full_theta(need, cfg)
-        assert built.shape == full.shape
-        assert not built[rows].all() and built[rows].any(axis=-1).all()
-        assert np.all(got[~built] == -np.inf)
-        np.testing.assert_allclose(got[built], full[built], rtol=0.0, atol=1e-14)
+        assert got.shape == full.shape == need.shape
+        assert not need[rows].all() and need[rows].any(axis=-1).all()
+        assert np.all(got[~need] == -np.inf)
+        np.testing.assert_allclose(got[need], full[need], rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("theta_grid_size", [16, 9])
     @pytest.mark.parametrize("coherence_time", [2.0, 10.0, math.inf])
@@ -566,7 +635,7 @@ class TestBoundPrunedChoice:
         masks = []
 
         def recording(ds, cfg, need=None):
-            masks.append(policies._full_theta(need, cfg))
+            masks.append(need)
             return full_matrix(ds, cfg, need)
 
         monkeypatch.setattr(policies, "_mi_matrix", recording)
@@ -604,7 +673,7 @@ class TestBoundPrunedChoice:
         masks = []
 
         def recording(ds, cfg, need=None):
-            masks.append(policies._full_theta(need, cfg))
+            masks.append(need)
             return full_matrix(ds, cfg, need)
 
         monkeypatch.setattr(policies, "TIE_TOL", 0.0)
@@ -739,11 +808,11 @@ class TestFourierScreen:
 
 
 def _per_tau_variance_matrix(d, cfg):
-    """The expected-variance kernel with one vector product per tau and
-    trig function, on cos and sin taken afresh: the reference for the
-    kernel's one product with the harmonic table."""
+    """The expected-variance kernel over the whole theta grid with one
+    vector product per tau and trig function, on cos and sin taken afresh:
+    the reference for the kernel's one product with the harmonic table."""
     taus = tau_search_grid(cfg)
-    thetas = theta_search_grid(cfg)[: policies._scored_theta_count(cfg)]
+    thetas = theta_search_grid(cfg)
     b = d.grid.points
     q = d.grid.trapz_weights * d.density
     qb = q * b
@@ -760,7 +829,7 @@ def _per_tau_variance_matrix(d, cfg):
         mm = np.where(ok, m0, 1.0)
         var = np.maximum(m2 / mm - (m1 / mm) ** 2, 0.0)
         out += np.where(ok, m0 * var, 0.0)
-    return policies._full_theta(out, cfg)
+    return out
 
 
 class TestHarmonicTable:
@@ -802,7 +871,7 @@ class TestHarmonicTable:
         for seed in range(3):
             for d in _myopic_trajectory(GRID, replace(cfg, kind="myopic_entropy"), seed, 10):
                 oracle = _per_tau_variance_matrix(d, cfg)
-                np.testing.assert_allclose(_variance_one(d, cfg), oracle, rtol=0.0, atol=tol)
+                np.testing.assert_allclose(_variance_one(d, cfg), _scored(oracle, cfg), rtol=0.0, atol=tol)
                 p = next_params_variance_min(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(-oracle, cfg)
 
@@ -844,15 +913,17 @@ class TestVarianceBatchKernel:
         )
         ds = _random_posteriors(grid, 10.0, 23, count - 1) + [spike_distribution(grid, 0.3)]
         got = _expected_variance_matrix(ds, cfg)
-        assert got.shape == (count, cfg.tau_grid_size, cfg.theta_grid_size)
+        assert got.shape == (count, cfg.tau_grid_size, policies._scored_theta_count(cfg))
         # as in test_variance_choice_equals_per_tau_kernel
         tol = grid.n_points * np.finfo(float).eps * grid.b_max**2
         for d, scores in zip(ds, got):
             assert scores.tobytes() == _expected_variance_matrix([d], cfg)[0].tobytes()
-            np.testing.assert_allclose(scores, _per_tau_variance_matrix(d, cfg), rtol=0.0, atol=tol)
+            np.testing.assert_allclose(scores, _scored(_per_tau_variance_matrix(d, cfg), cfg), rtol=0.0, atol=tol)
         chosen = variance_choices(ds, cfg)
         assert chosen == [next_params_variance_min(_state(d), cfg) for d in ds]
         assert [(p.tau, p.theta) for p in chosen] == [_best_cell(-m, cfg) for m in got]
+        for d, p in zip(ds, chosen):
+            assert (p.tau, p.theta) == _best_cell(-_per_tau_variance_matrix(d, cfg), cfg)
 
 
 class TestPinnedMyopicCells:
