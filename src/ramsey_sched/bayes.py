@@ -207,9 +207,12 @@ def bayes_update(d: FieldDistribution, p: RamseyParams, x: int) -> FieldDistribu
     return FieldDistribution(d.grid, unnormalized / evidence)
 
 
-def xlogx(x):
-    """x ln x, vectorized, with 0 ln 0 = 0: every entropy's one log path."""
-    return x * np.log(np.maximum(x, _TINY))
+def xlogx(x, out=None):
+    """x ln x, vectorized, with 0 ln 0 = 0: every entropy's one log path (into ``out``, not x, if given)."""
+    if out is None:
+        return x * np.log(np.maximum(x, _TINY))
+    np.log(np.maximum(x, _TINY, out=out), out=out)
+    return np.multiply(x, out, out=out)
 
 
 def entropy(d: FieldDistribution) -> float:
@@ -279,12 +282,10 @@ def mutual_information_surface(
         l0 += 0.5
         np.subtract(1.0, l0, out=l1)
         h_x = [-(xlogx(float(q @ a)) + xlogx(float(q @ b))) for a, b in zip(l0, l1)]
-        # l0 <- xlogx(l0) + xlogx(l1), the negated pointwise outcome entropy
-        np.maximum(lik, _TINY, out=log)
-        np.log(log, out=log)
-        lik *= log
-        l0 += l1
-        for i, row in enumerate(l0):
+        # xlogx(l0) + xlogx(l1), the negated pointwise outcome entropy
+        h = xlogx(lik, out=log)
+        h[0] += h[1]
+        for i, row in enumerate(h[0]):
             out[i, k] = h_x[i] + float(q @ row)
     return out
 

@@ -109,7 +109,6 @@ from .bayes import (
     RamseyParams,
     TWO_PI,
     ZERO_EVIDENCE_FLOOR,
-    _TINY,
     bayes_update,
     uniform_distribution,
     xlogx,
@@ -251,6 +250,11 @@ def _shared_grid(ds: Sequence[FieldDistribution]) -> FieldGrid:
     return grid
 
 
+def _outcome_moment(total, half_c, w_c, w_s, cos_t, sin_t):
+    """sum_b w l0 = total/2 + (C/2)(cos theta w.c - sin theta w.s), the closed form every scorer takes."""
+    return 0.5 * total + half_c * (cos_t * w_c - sin_t * w_s)
+
+
 def _mi_matrix(
     ds: Sequence[FieldDistribution], cfg: PolicyConfig, need: np.ndarray | None = None
 ) -> np.ndarray:
@@ -296,17 +300,11 @@ def _mi_matrix(
         np.clip(l0, 0.0, 1.0, out=l0)
         np.subtract(1.0, l0, out=l1)
         # xlx = xlogx(l0) + xlogx(l1) in place; l0 is spent once its term is in xlx
-        np.maximum(l0, _TINY, out=xlx)
-        np.log(xlx, out=xlx)
-        xlx *= l0
-        np.maximum(l1, _TINY, out=l0)
-        np.log(l0, out=l0)
-        l0 *= l1
-        xlx += l0
+        xlogx(l0, out=xlx)
+        xlx += xlogx(l1, out=l0)
         for r in np.flatnonzero(need[:, i].any(axis=1)):
             q, q0 = qs[r], q0s[r]
-            p0 = 0.5 * q0 + half_c * (cos_c * float(q @ c) - sin_c * float(q @ s))
-            np.clip(p0, 0.0, q0, out=p0)
+            p0 = np.clip(_outcome_moment(q0, half_c, float(q @ c), float(q @ s), cos_c, sin_c), 0.0, q0)
             p1 = q0 - p0
             h_x = -(xlogx(p0) + xlogx(p1))
             out[r, i, cols] = np.where(need[r, i, cols], h_x + xlx @ q, -np.inf)
@@ -379,9 +377,7 @@ def _screen(
     # re_j = Re[exp(2 i j theta) M_j], M_j = sum_b q exp(4 i j tau b)
     angles = 2.0 * np.arange(1, k + 1)[:, None, None, None] * thetas
     re = np.cos(angles) * mom[2::2, ..., None] - np.sin(angles) * mom[3::2, ..., None]
-    # u = cos(2 tau b + theta), so p0 = q0/2 + half_c sum_b q u
-    q_u = np.cos(thetas) * q_c - np.sin(thetas) * q_s
-    p0 = np.clip(0.5 * q0 + half_c * q_u, 0.0, q0)
+    p0 = np.clip(_outcome_moment(q0, half_c, q_c, q_s, np.cos(thetas), np.sin(thetas)), 0.0, q0)
     p1 = q0 - p0
     h_x = -(xlogx(p0) + xlogx(p1))
     est = h_x - a[0, :, None] * q0 - (a[1:, None, :, None] * re).sum(axis=0)
@@ -417,7 +413,7 @@ def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig
     wc, ws = wcs.reshape(len(ds), 2, len(taus), 3).transpose(1, 3, 0, 2)[..., None]
     half_c = 0.5 * _contrasts(cfg)[:, None]
     # moments[k, r, i, j] = sum_b w_k(b) l0(b; tau_i, theta_j) for posterior r
-    moments = 0.5 * tot + half_c * (wc * np.cos(thetas) - ws * np.sin(thetas))
+    moments = _outcome_moment(tot, half_c, wc, ws, np.cos(thetas), np.sin(thetas))
     out = np.zeros((len(ds), len(taus), len(thetas)))
     for m0, m1, m2 in (moments, tot - moments):
         ok = m0 > ZERO_EVIDENCE_FLOOR

@@ -248,13 +248,30 @@ class TestBayesUpdate:
         assert GRID.integrate(d.density) == pytest.approx(1.0, abs=1e-9)
 
 
+def _xlogx_points(top):
+    """100 000 points in (0, top], or the edge points 0, the smallest
+    subnormal, the smallest normal and 1 when top is None."""
+    if top is None:
+        return np.array([0.0, 5e-324, np.finfo(float).tiny, 1.0])
+    return top * (1.0 - np.random.default_rng(int(top)).random(100_000))
+
+
 class TestXlogx:
     @pytest.mark.parametrize("top", [1.0, 5.0])
     def test_within_two_ulp_of_xlogy(self, top):
-        rng = np.random.default_rng(int(top))
-        x = top * (1.0 - rng.random(100_000))  # in (0, top]
+        x = _xlogx_points(top)
         ref = xlogy(x, x)
         assert np.all(np.abs(xlogx(x) - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("top", [None, 1.0, 5.0])
+    def test_out_takes_the_same_bits(self, top):
+        x = _xlogx_points(top)
+        buf = np.full_like(x, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = xlogx(x, out=buf)
+        assert got is buf
+        assert np.array_equal(buf.view(np.int64), xlogx(x).view(np.int64))
 
     def test_exact_zero_at_zero_and_one_without_warning(self):
         with warnings.catch_warnings():
