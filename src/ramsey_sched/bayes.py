@@ -30,24 +30,47 @@ NORMALIZATION_TOL = 1e-9
 # ln is taken of max(x, _TINY), so that x ln x reads 0 at x = 0.
 _TINY = np.finfo(float).tiny
 
+# OpenBLAS runs a ddot of at most 10000 points on one thread and splits a
+# longer one across its threads, whose partial sums then depend on the
+# thread count; dots of at most this many points stay on one thread.
+_DOT_CHUNK = 8192
+
 
 class ZeroEvidence(ValueError):
     """An outcome with (numerically) zero probability under the prior."""
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two 1-D grid arrays: every grid dot's one path.
+
+    Up to 8192 points this is exactly ``float(a @ b)``.  A longer dot is
+    the sum, from left to right, of its 8192-point chunk dots, so each
+    BLAS call runs on one thread and the result is the same under any
+    BLAS thread count.
+    """
+    n = len(a)
+    if n <= _DOT_CHUNK:
+        return float(a @ b)
+    total = 0.0
+    for i in range(0, n, _DOT_CHUNK):
+        total += float(a[i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK])
+    return total
 
 
 @dataclass(frozen=True)
 class FieldGrid:
     """Uniformly spaced sample points for densities over the field.
 
-    ``points`` and ``trapz_weights`` are derived once at construction and
-    shared read-only; two grids compare equal iff their defining triple
-    (b_min, b_max, n_points) matches.
+    ``points``, ``points_squared`` and ``trapz_weights`` are derived once
+    at construction and shared read-only; two grids compare equal iff
+    their defining triple (b_min, b_max, n_points) matches.
     """
 
     b_min: float
     b_max: float
     n_points: int
     points: np.ndarray = field(init=False, repr=False, compare=False)
+    points_squared: np.ndarray = field(init=False, repr=False, compare=False)
     trapz_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -59,10 +82,10 @@ class FieldGrid:
         w = np.full(self.n_points, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "trapz_weights", w)
+        pts_sq = pts * pts
+        for name, arr in (("points", pts), ("points_squared", pts_sq), ("trapz_weights", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def spacing(self) -> float:
@@ -70,7 +93,7 @@ class FieldGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoidal integral of point values over the grid."""
-        return float(self.trapz_weights @ values)
+        return dot(self.trapz_weights, values)
 
 
 @dataclass(frozen=True)
@@ -98,6 +121,17 @@ class FieldDistribution:
             raise ValueError(f"density integrates to {total!r}, expected 1")
         dens.flags.writeable = False
         object.__setattr__(self, "density", dens)
+
+    @classmethod
+    def _normalized(cls, grid: FieldGrid, density: np.ndarray) -> FieldDistribution:
+        """Wrap a density that the caller has just divided by its own
+        positive, finite integral, skipping the checks that division
+        already settles; the array becomes read-only and is not copied."""
+        d = object.__new__(cls)
+        density.flags.writeable = False
+        object.__setattr__(d, "grid", grid)
+        object.__setattr__(d, "density", density)
+        return d
 
 
 def distribution_from_density(grid: FieldGrid, values: np.ndarray) -> FieldDistribution:
@@ -195,16 +229,38 @@ def predictive_prob(d: FieldDistribution, p: RamseyParams, x: int) -> float:
 def bayes_update(d: FieldDistribution, p: RamseyParams, x: int) -> FieldDistribution:
     """Posterior after observing outcome ``x`` with controls ``p``.
 
+    The fringe, the likelihood, its product with the prior and the
+    division by the evidence are formed in place in one array, in
+    :func:`likelihood`'s operation order, so the posterior is bit-identical
+    to its oracle, ``FieldDistribution(d.grid, likelihood(x,
+    d.grid.points, p) * d.density / evidence)``.  The likelihood and the
+    prior are non-negative and the division normalises, so only the
+    evidence is checked.
+
     Raises:
         ZeroEvidence: the outcome has probability <= 1e-300 under ``d``.
+        ValueError: ``x`` is not 0 or 1, or the evidence is not finite
+            (as when 2 tau b overflows).
     """
-    unnormalized = likelihood(x, d.grid.points, p) * d.density
-    evidence = d.grid.integrate(unnormalized)
+    if x not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {x!r}")
+    post = np.multiply(2.0 * p.tau, d.grid.points)
+    post += p.theta
+    np.cos(post, out=post)
+    post *= 0.5 * p.contrast
+    post += 0.5
+    if x == 1:
+        np.subtract(1.0, post, out=post)
+    post *= d.density
+    evidence = d.grid.integrate(post)
+    if not math.isfinite(evidence):
+        raise ValueError(f"outcome {x} has non-finite predictive probability {evidence!r}")
     if evidence <= ZERO_EVIDENCE_FLOOR:
         raise ZeroEvidence(
             f"outcome {x} has predictive probability {evidence!r} under the prior"
         )
-    return FieldDistribution(d.grid, unnormalized / evidence)
+    post /= evidence
+    return FieldDistribution._normalized(d.grid, post)
 
 
 def xlogx(x, out=None):
@@ -227,8 +283,8 @@ def mean(d: FieldDistribution) -> float:
 def variance(d: FieldDistribution) -> float:
     """Second central moment, clamped at zero against float cancellation."""
     q = d.grid.trapz_weights * d.density
-    m1 = float(q @ d.grid.points)
-    m2 = float(q @ (d.grid.points * d.grid.points))
+    m1 = dot(q, d.grid.points)
+    m2 = dot(q, d.grid.points_squared)
     return max(m2 - m1 * m1, 0.0)
 
 
@@ -247,10 +303,10 @@ def mutual_information(d: FieldDistribution, p: RamseyParams) -> float:
     """
     l0 = likelihood(0, d.grid.points, p)
     q = d.grid.trapz_weights * d.density
-    p0 = float(q @ l0)
-    p1 = float(q @ (1.0 - l0))
+    p0 = dot(q, l0)
+    p1 = dot(q, 1.0 - l0)
     h_x = -(xlogx(p0) + xlogx(p1))
-    h_x_given_b = float(q @ binary_entropy(l0))
+    h_x_given_b = dot(q, binary_entropy(l0))
     return h_x - h_x_given_b
 
 
@@ -281,12 +337,12 @@ def mutual_information_surface(
         np.multiply.outer(half_contrast, fringe, out=l0)
         l0 += 0.5
         np.subtract(1.0, l0, out=l1)
-        h_x = [-(xlogx(float(q @ a)) + xlogx(float(q @ b))) for a, b in zip(l0, l1)]
+        h_x = [-(xlogx(dot(q, a)) + xlogx(dot(q, b))) for a, b in zip(l0, l1)]
         # xlogx(l0) + xlogx(l1), the negated pointwise outcome entropy
         h = xlogx(lik, out=log)
         h[0] += h[1]
         for i, row in enumerate(h[0]):
-            out[i, k] = h_x[i] + float(q @ row)
+            out[i, k] = h_x[i] + dot(q, row)
     return out
 
 

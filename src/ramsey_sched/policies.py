@@ -110,6 +110,7 @@ from .bayes import (
     TWO_PI,
     ZERO_EVIDENCE_FLOOR,
     bayes_update,
+    dot,
     uniform_distribution,
     xlogx,
 )
@@ -304,7 +305,7 @@ def _mi_matrix(
         xlx += xlogx(l1, out=l0)
         for r in np.flatnonzero(need[:, i].any(axis=1)):
             q, q0 = qs[r], q0s[r]
-            p0 = np.clip(_outcome_moment(q0, half_c, float(q @ c), float(q @ s), cos_c, sin_c), 0.0, q0)
+            p0 = np.clip(_outcome_moment(q0, half_c, dot(q, c), dot(q, s), cos_c, sin_c), 0.0, q0)
             p1 = q0 - p0
             h_x = -(xlogx(p0) + xlogx(p1))
             out[r, i, cols] = np.where(need[r, i, cols], h_x + xlx @ q, -np.inf)

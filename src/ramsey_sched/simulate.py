@@ -22,8 +22,12 @@ time, each step asking ``policies.next_params``.
 Each trial draws from its own stream, derived from (master_seed,
 trial_index), in a fixed order (true field, the policy's draws, the
 outcome), so a trajectory is bit-identical whether its trial runs alone
-or beside others, and an ensemble is a pure function of its
-configuration, insensitive to execution order.
+or beside others, and an ensemble is a function of its configuration
+alone, insensitive to execution order.  Every grid dot goes through
+``bayes.dot``, whose BLAS calls each run on one thread, so the bits do
+not depend on the BLAS thread count either.  They can still differ
+between machines whose BLAS picks another CPU kernel (AVX-512 against
+AVX2, say), which may round a dot differently.
 """
 
 from __future__ import annotations

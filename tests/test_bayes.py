@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from scipy.special import xlogy
 
 from ramsey_sched.bayes import (
+    NORMALIZATION_TOL,
+    ZERO_EVIDENCE_FLOOR,
     FieldDistribution,
     FieldGrid,
     RamseyParams,
@@ -16,6 +18,7 @@ from ramsey_sched.bayes import (
     bayes_update,
     binary_entropy,
     distribution_from_density,
+    dot,
     entropy,
     expected_posterior_functional,
     gaussian_distribution,
@@ -80,6 +83,41 @@ class TestFieldGrid:
         # an infinite bound makes every point and weight inf or nan
         with pytest.raises(ValueError, match=rf"require finite b_min < b_max, got \[{b_min}, {b_max}\]"):
             FieldGrid(b_min, b_max, 16)
+
+    def test_points_squared_is_read_only(self):
+        assert np.array_equal(GRID.points_squared, GRID.points * GRID.points)
+        with pytest.raises(ValueError):
+            GRID.points_squared[0] = 0.0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestDot:
+    @pytest.mark.parametrize("n", [1, 2, 4096, 8191, 8192])
+    def test_one_blas_dot_up_to_8192_points(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        assert _bits(dot(a, b)) == _bits(float(a @ b))
+
+    @pytest.mark.parametrize("n", [16384, 16385, 3 * 8192 + 7])
+    def test_chunk_dots_summed_left_to_right(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        total = 0.0
+        for i in range(0, n, 8192):
+            total += float(a[i : i + 8192] @ b[i : i + 8192])
+        assert _bits(dot(a, b)) == _bits(total)
+
+    def test_integrate_and_variance_keep_their_bits_at_4096_points(self):
+        grid = FieldGrid(-20.0, 20.0, 4096)
+        d = _random_mixture(grid, 5)
+        assert _bits(grid.integrate(d.density)) == _bits(float(grid.trapz_weights @ d.density))
+        q = grid.trapz_weights * d.density
+        m1 = float(q @ grid.points)
+        m2 = float(q @ (grid.points * grid.points))
+        assert _bits(variance(d)) == _bits(max(m2 - m1 * m1, 0.0))
 
 
 class TestFieldDistribution:
@@ -240,6 +278,49 @@ class TestBayesUpdate:
         p = RamseyParams(1.0, math.pi)
         with pytest.raises(ZeroEvidence):
             bayes_update(d, p, 0)
+
+    def test_positive_evidence_at_the_floor_raises(self):
+        # the spike of test_zero_evidence_raises plus a 1e-300 tail at the
+        # grid edge, where outcome 0 is possible: finite evidence, > 0, <= floor
+        grid = FieldGrid(-20.0, 20.0, 2**14 + 1)
+        dens = spike_distribution(grid, 0.0).density.copy()
+        dens[0] = 1e-300
+        d = FieldDistribution(grid, dens)
+        p = RamseyParams(1.0, math.pi)
+        assert 0.0 < predictive_prob(d, p, 0) <= ZERO_EVIDENCE_FLOOR
+        with pytest.raises(ZeroEvidence, match=r"^outcome 0 has predictive probability .* under the prior$"):
+            bayes_update(d, p, 0)
+
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_non_finite_evidence_is_a_plain_value_error(self, x):
+        # 2 tau b overflows to +-inf, so the fringe is nan at every point
+        d = gaussian_distribution(GRID, 0.0, 2.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=rf"^outcome {x} has non-finite predictive probability nan$"
+        ) as info:
+            bayes_update(d, RamseyParams(1e308, 0.3), x)
+        assert not isinstance(info.value, ZeroEvidence)
+
+    @pytest.mark.parametrize("x", [-1, 2])
+    def test_outcome_must_be_binary(self, x):
+        with pytest.raises(ValueError, match=f"outcome must be 0 or 1, got {x}"):
+            bayes_update(uniform_distribution(GRID), RamseyParams(1.0, 0.0), x)
+
+    @pytest.mark.parametrize("n", [4096, 16385])
+    @pytest.mark.parametrize("coherence", [2.0, math.inf])
+    @pytest.mark.parametrize("tau", [0.0, 0.01, 4.0])
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_one_buffer_update_matches_the_likelihood_oracle(self, x, tau, coherence, n):
+        grid = FieldGrid(-20.0, 20.0, n)
+        d = _random_mixture(grid, n)
+        p = RamseyParams(tau, 0.7, coherence)
+        unnormalized = likelihood(x, grid.points, p) * d.density
+        expected = FieldDistribution(grid, unnormalized / grid.integrate(unnormalized))
+        post = bayes_update(d, p, x)
+        assert post.grid is grid
+        assert np.array_equal(_bits(post.density), _bits(expected.density))
+        assert not post.density.flags.writeable
+        assert abs(grid.integrate(post.density) - 1.0) <= NORMALIZATION_TOL
 
     def test_renormalized(self):
         d = _random_mixture(GRID, 11)

@@ -286,14 +286,14 @@ class TestExitCodes:
         assert not list(out.iterdir())
 
 
-def _python_with_package(*args):
-    """Run a fresh interpreter that imports this ramsey_sched."""
+def _python_with_package(*args, **env):
+    """Run a fresh interpreter that imports this ramsey_sched, with ``env`` added to its environment."""
     src = str(Path(ramsey_sched.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -416,6 +416,27 @@ class TestCompare:
             assert main(args + ["--out", str(out2)]) == 0
             for name in csvs:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("lines", [
+        "policies = random,kpe\nn_realizations = 2\nn_measurements = 5\n",
+        "policies = myopic_entropy,variance_min\nn_realizations = 4\nn_measurements = 8\n"
+        "tau_grid_size = 16\ntheta_grid_size = 16\n",
+    ], ids=["blind", "greedy"])
+    def test_byte_identical_under_one_and_two_blas_threads(self, tmp_path, lines):
+        # OpenBLAS splits a dot of more than 10000 points across its
+        # threads; at N = 2^14 every grid dot runs as 8192-point chunks
+        cfg = _write(tmp_path, "c.cfg", lines + "n_points = 16384\n")
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = _python_with_package(
+                "-m", "ramsey_sched.cli", "compare", "--config", cfg, "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert len(csvs[0]) == 2
+        assert csvs[0] == csvs[1]
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", self.CFG + "policies = random\n")

@@ -255,6 +255,27 @@ class TestRunTrials:
         else:
             assert order[5] == (1, 2)
 
+    @pytest.mark.parametrize("bad, error, message", [
+        # tau = theta = 0 makes outcome 1 impossible at every field value
+        (RamseyParams(0.0, 0.0), ZeroEvidence,
+         r"^trial 1, step 3, master_seed 99: outcome 1 has predictive probability 0\.0 under the prior$"),
+        # 2 tau b overflows, so the evidence is nan: not a zero-evidence outcome
+        (RamseyParams(1e308, 0.3), ValueError, r"^outcome 1 has non-finite predictive probability nan$"),
+    ])
+    def test_real_update_failure_reaches_the_caller(self, bad, error, message, monkeypatch):
+        # kpe trials run one by one, 4 steps each: call 7 is trial 1, step 3
+        real_next, real_sample, calls = simulate.next_params, simulate.sample_outcome, []
+
+        def next_params(state, policy, rng):
+            calls.append(None)
+            return bad if len(calls) == 7 else real_next(state, policy, rng)
+
+        monkeypatch.setattr(simulate, "next_params", next_params)
+        monkeypatch.setattr(simulate, "sample_outcome", lambda rng, b, p: 1 if p == bad else real_sample(rng, b, p))
+        with np.errstate(invalid="ignore"), pytest.raises(error, match=message) as info:
+            run_trials(_cfg("kpe", n_measurements=4), range(3))
+        assert type(info.value) is error and len(calls) == 7
+
 
 class TestPrefixSharing:
     # 16 greedy trials from one prior hold at most 2^(s-1) distinct
