@@ -7,11 +7,11 @@ its grid's fields, its own fields but ``policy`` and ``grid``, and its
 policy's fields but ``kind``, plus ``policies``.  ``mi-surface`` and
 ``kpe-check`` take the grid, prior and policy keys they use and override
 some of their defaults.  Artifacts are CSV files with a fixed column
-order and 17-significant-digit floats, so reruns under one BLAS thread
-configuration are byte-identical (OpenBLAS splits a dot product of more
-than about 10000 points across its threads, so at ``n_points = 16384``
-the last bits depend on the thread count); each run also writes a
-manifest echoing the resolved configuration and listing every artifact.
+order and 17-significant-digit floats, so reruns on one machine are
+byte-identical under any BLAS thread count (every grid dot goes through
+``bayes.dot``), though not across CPU kernels, which may round a dot
+differently; each run also writes a manifest echoing the resolved
+configuration and listing every artifact.
 
 Each ``cmd_*`` is a function of its resolved config alone.  It returns
 ``(artifacts, failure)``: ``artifacts`` maps each CSV name to
@@ -53,7 +53,7 @@ from .fourier import (
     contrast_entropy_series,
 )
 from .policies import POLICY_KINDS, KpeCheckRow, PolicyConfig, compare_kpe_to_myopic
-from .simulate import SimConfig, check_prior_coverage, run_ensemble
+from .simulate import SimConfig, _check_phases, check_prior_coverage, run_ensemble
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -270,6 +270,7 @@ def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
     """
     _check_mi_surface_keys(cfg)
     grid = _grid(cfg)
+    _check_phases(grid, tau_max=cfg["tau_max"])
     # the prior first: it names a non-finite mean or std
     prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
     check_prior_coverage(grid, cfg["prior_mean"], cfg["prior_std"])
@@ -359,6 +360,7 @@ def _kpe_outcome_limit(cfg: dict) -> int:
 def cmd_kpe_check(cfg: dict) -> tuple[dict, str | None]:
     """Halving-schedule vs myopic argmax along a scripted trajectory."""
     policy, grid = _policy_config(cfg, "myopic_entropy"), _grid(cfg)
+    _check_phases(grid, tau_max=policy.tau_max, kpe_tau0=policy.kpe_tau0)
     limit = _kpe_outcome_limit(cfg)
     if len(cfg["outcomes"]) > limit:
         raise ConfigError(

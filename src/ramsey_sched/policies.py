@@ -36,16 +36,16 @@ cell by cell, up to float roundoff:
   tau search grid, one grid row at a time, and shared by every scorer.
   So is the contrast C of every tau (``_contrasts``).
 - The MI kernel still needs the pointwise outcome entropy h(l0) over a
-  theta x N block, built in three buffers allocated once per call.  The
-  block does not depend on the posterior, so the kernel takes a sequence
-  of posteriors on one grid and builds one block per tau for all of
-  them; each posterior then takes its own p0, h(p0) and block-vector
-  product, exactly as it would alone (``myopic_choices``, which the
-  trial loop calls with every myopic trial's posterior).
+  theta x N block.  The block does not depend on the posterior, so the
+  kernel reads the decision's table and stacked q (``_moments``) and
+  builds one block per tau for every posterior of a step; each posterior
+  then takes its own p0, h(p0) and block-vector product, exactly as it
+  would alone (``myopic_choices``, which the trial loop calls with every
+  myopic trial's posterior).
 - The cosine term can round to 1 + 2^-52 in magnitude, so l0 is clamped
   into [0, 1] before l1 = 1 - l0 is taken, and p0 into [0, q0] (a
   posterior on one grid point has p0 = l0 there).
-- Every l ln l is ``bayes.xlogx``; the block forms it in place.
+- Every l ln l is ``bayes.xlogx``.
 
 The myopic chooser builds only the tau rows that can hold the best cell
 (``myopic_choices``), and finds them with a Fourier screen.  With
@@ -244,11 +244,13 @@ def _scored_theta_count(cfg: PolicyConfig) -> int:
     return k // 2 if k % 2 == 0 else k
 
 
-def _shared_grid(ds: Sequence[FieldDistribution]) -> FieldGrid:
+def _weights(ds: Sequence[FieldDistribution]) -> tuple[FieldGrid, np.ndarray]:
+    """The posteriors' one grid and their q = trapezoid weight x density,
+    stacked (posterior, N): every scorer's one place to form q."""
     grid = ds[0].grid
     if any(d.grid != grid for d in ds):
         raise ValueError("posteriors scored together must share one grid")
-    return grid
+    return grid, np.stack([grid.trapz_weights * d.density for d in ds])
 
 
 def _outcome_moment(total, half_c, w_c, w_s, cos_t, sin_t):
@@ -257,52 +259,39 @@ def _outcome_moment(total, half_c, w_c, w_s, cos_t, sin_t):
 
 
 def _mi_matrix(
-    ds: Sequence[FieldDistribution], cfg: PolicyConfig, need: np.ndarray | None = None
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray], cfg: PolicyConfig, need: np.ndarray | None = None
 ) -> np.ndarray:
     """Mutual information for every (posterior, tau, scored theta) cell,
     natural units.
 
-    The posteriors must share one grid.  Each tau's entropy block is built
-    once and scored against every posterior; posterior r's scores are
-    bit-identical to those of ``_mi_matrix([ds[r]], cfg)``.  ``need``, an
-    optional (posterior, tau, scored theta) boolean mask, limits the work
-    to the cells it marks: a tau's block is built only over the theta
-    columns that some posterior needs in that row, and cells left out read
-    -inf.  A block product over fewer theta rows can differ from the full
-    block's in the last bits, so the cells kept match the full matrix's to
-    float roundoff, not bit for bit.
+    ``moments`` is ``_moments(ds, cfg)``; the builder reads its table and
+    stacked q.  Each tau's entropy block is built once and scored against
+    every posterior with its own q . c and q . s, so posterior r's scores
+    are ``_mi_matrix(_moments([ds[r]], cfg), cfg)[0]``, bit for bit.
+    ``need``, an optional (posterior, tau, scored theta) boolean mask,
+    limits the work to the cells it marks: a tau's block is built only
+    over the theta columns that some posterior needs in that row, and
+    cells left out read -inf.  A block product over fewer theta rows can
+    differ from the full block's in the last bits, so the cells kept match
+    the full matrix's to float roundoff, not bit for bit.
     """
-    grid = _shared_grid(ds)
-    taus = tau_search_grid(cfg)
+    table, qs, _ = moments
     n_theta = _scored_theta_count(cfg)
     if need is None:
-        need = np.ones((len(ds), len(taus), n_theta), dtype=bool)
+        need = np.ones((len(qs), cfg.tau_grid_size, n_theta), dtype=bool)
     thetas = theta_search_grid(cfg)[:n_theta]
-    table = _harmonic_table(grid, cfg)
     contrasts = _contrasts(cfg)
-    qs = [grid.trapz_weights * d.density for d in ds]
     q0s = [float(q.sum()) for q in qs]
     cos_t = np.cos(thetas)
     sin_t = np.sin(thetas)
-    # the blocks are leading rows of these three buffers, allocated once
-    bufs = [np.empty((n_theta, grid.n_points)) for _ in range(3)]
-    out = np.full((len(ds), len(taus), n_theta), -np.inf)
+    out = np.full(need.shape, -np.inf)
     for i in np.flatnonzero(need.any(axis=(0, 2))):
         cols = np.flatnonzero(need[:, i].any(axis=0))
-        l0, l1, xlx = (b[: len(cols)] for b in bufs)
         cos_c, sin_c = cos_t[cols], sin_t[cols]
         c, s = table[0, i], table[1, i]
         half_c = 0.5 * contrasts[i]
-        np.multiply(cos_c[:, None], c, out=l0)
-        np.multiply(sin_c[:, None], s, out=l1)
-        np.subtract(l0, l1, out=l0)
-        l0 *= half_c
-        l0 += 0.5
-        np.clip(l0, 0.0, 1.0, out=l0)
-        np.subtract(1.0, l0, out=l1)
-        # xlx = xlogx(l0) + xlogx(l1) in place; l0 is spent once its term is in xlx
-        xlogx(l0, out=xlx)
-        xlx += xlogx(l1, out=l0)
+        l0 = np.clip(half_c * (cos_c[:, None] * c - sin_c[:, None] * s) + 0.5, 0.0, 1.0)
+        xlx = xlogx(l0) + xlogx(1.0 - l0)
         for r in np.flatnonzero(need[:, i].any(axis=1)):
             q, q0 = qs[r], q0s[r]
             p0 = np.clip(_outcome_moment(q0, half_c, dot(q, c), dot(q, s), cos_c, sin_c), 0.0, q0)
@@ -329,10 +318,10 @@ def _moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The harmonic table, q = trapezoid weight x density of each posterior,
     (posterior, N), and q against every table row, (4, tau, posterior):
-    one product over the whole table, shared by both screen passes."""
-    grid = _shared_grid(ds)
+    one product over the whole table, shared by both screen passes and
+    read by the cell builder (``_mi_matrix``)."""
+    grid, qs = _weights(ds)
     table = _harmonic_table(grid, cfg)
-    qs = np.stack([grid.trapz_weights * d.density for d in ds])
     return table, qs, np.matmul(table, qs.T)
 
 
@@ -397,13 +386,12 @@ def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig
     ``_expected_variance_matrix([ds[r]], cfg)`` (one flat product over
     all posteriors' w is not).
     """
-    grid = _shared_grid(ds)
+    grid, qs = _weights(ds)
     taus = tau_search_grid(cfg)
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
     # w[r] = q, q b, q b^2 of posterior r, written in place
     w = np.empty((len(ds), 3, grid.n_points))
-    for r, d in enumerate(ds):
-        np.multiply(grid.trapz_weights, d.density, out=w[r, 0])
+    w[:, 0] = qs
     np.multiply(w[:, 0], grid.points, out=w[:, 1])
     np.multiply(w[:, 1], grid.points, out=w[:, 2])
     # every array below is (w_k, posterior, tau, theta)
@@ -485,7 +473,7 @@ def myopic_choices(ds: Sequence[FieldDistribution], cfg: PolicyConfig) -> list[R
     lower[:, rows] = np.maximum(lower[:, rows], est.max(axis=2) - width - _ROUNDING_MARGIN)
     upper[:, rows] = np.minimum(upper[:, rows], est + width[:, :, None])
     cutoff = lower.max(axis=1) - TIE_TOL - _ROUNDING_MARGIN
-    scores = _mi_matrix(ds, cfg, upper >= cutoff[:, None, None])
+    scores = _mi_matrix(moments, cfg, upper >= cutoff[:, None, None])
     return [RamseyParams(*_best_cell(m, cfg), coherence_time=cfg.coherence_time) for m in scores]
 
 

@@ -63,6 +63,19 @@ def check_prior_coverage(grid: FieldGrid, prior_mean: float, prior_std: float) -
         )
 
 
+def _check_phases(grid: FieldGrid, **taus: float) -> None:
+    """Raise ValueError naming the key unless every exposure up to each
+    tau keeps its phase 2 tau b finite over the grid: an overflowed phase
+    makes every likelihood NaN."""
+    reach = max(abs(grid.b_min), abs(grid.b_max))
+    for key, tau in taus.items():
+        if not math.isfinite(2.0 * tau * reach):
+            raise ValueError(
+                f"key {key!r}: require a finite phase 2 * {key} * max(|b_min|, |b_max|),"
+                f" got 2 * {tau} * {reach}"
+            )
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything a simulation run depends on.
@@ -94,6 +107,7 @@ class SimConfig:
         if self.master_seed < 0:
             raise ValueError(f"require master_seed >= 0, got {self.master_seed}")
         check_prior_coverage(self.grid, self.prior_mean, self.prior_std)
+        _check_phases(self.grid, tau_max=self.policy.tau_max, kpe_tau0=self.policy.kpe_tau0)
         if self.true_field is not None and not self.grid.b_min <= self.true_field <= self.grid.b_max:
             raise ValueError(
                 f"true_field {self.true_field} lies outside the grid "

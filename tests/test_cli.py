@@ -286,6 +286,24 @@ class TestExitCodes:
         assert not list(out.iterdir())
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, lines, key", [
+        ("mi-surface", "n_points = 512\ntau_grid_size = 4\ntau_max = 1e308\n", "tau_max"),
+        ("kpe-check", "tau_max = 1e308\n", "tau_max"),
+        ("kpe-check", "kpe_tau0 = 1e308\n", "kpe_tau0"),
+        ("compare", "policies = random\nn_points = 512\nn_realizations = 2\ntau_max = 1e308\n", "tau_max"),
+        ("compare", "policies = kpe\nn_points = 512\nn_realizations = 2\nkpe_tau0 = 1e308\n", "kpe_tau0"),
+    ], ids=["mi-surface-tau_max", "kpe-check-tau_max", "kpe-check-kpe_tau0", "compare-tau_max", "compare-kpe_tau0"])
+    def test_overflowing_phase_is_2(self, tmp_path, capsys, command, lines, key):
+        # 2 tau b overflows to inf; rejected before any exposure is formed,
+        # naming its key, with no numpy warning and no output
+        path = _write(tmp_path, "c.cfg", lines)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: key {key!r}: require a finite phase")
+        assert not list(out.glob("*.csv"))
+
+
 def _python_with_package(*args, **env):
     """Run a fresh interpreter that imports this ramsey_sched, with ``env`` added to its environment."""
     src = str(Path(ramsey_sched.__file__).resolve().parents[1])

@@ -320,7 +320,7 @@ def _expected_variance(d, p):
 # (matrix kernel, its scalar oracle, the policy built on it, sign that
 # turns the objective into a maximisation)
 def _mi_one(d, cfg):
-    return _mi_matrix([d], cfg)[0]
+    return _mi_matrix(_moments([d], cfg), cfg)[0]
 
 
 def _variance_one(d, cfg):
@@ -495,7 +495,7 @@ class TestTieRuleOnScoredColumns:
 
 class TestLockstepMiKernel:
     def _assert_each_alone(self, ds, cfg):
-        got = _mi_matrix(ds, cfg)
+        got = _mi_matrix(_moments(ds, cfg), cfg)
         assert got.shape == (len(ds), cfg.tau_grid_size, policies._scored_theta_count(cfg))
         for d, scores in zip(ds, got):
             assert np.array_equal(scores, _mi_one(d, cfg))
@@ -514,12 +514,47 @@ class TestLockstepMiKernel:
     def test_cosine_term_rounding_grid(self):
         grid, cfg, j, spike = _rounding_case()
         self._assert_each_alone(_distinct_posteriors(grid, math.inf) + [spike], cfg)
-        assert _mi_matrix([uniform_distribution(grid), spike], cfg)[1, 0, j] == 0.0
+        assert _mi_matrix(_moments([uniform_distribution(grid), spike], cfg), cfg)[1, 0, j] == 0.0
 
     def test_posteriors_must_share_a_grid(self):
         ds = [uniform_distribution(GRID), uniform_distribution(FieldGrid(-20.0, 20.0, 2**10))]
         with pytest.raises(ValueError, match="one grid"):
-            _mi_matrix(ds, SMALL_CFG)
+            _mi_matrix(_moments(ds, SMALL_CFG), SMALL_CFG)
+
+    def test_builder_reads_q_and_the_table_from_the_moments(self, monkeypatch):
+        # the builder takes the decision's table and q stack from the
+        # moments tuple: it neither forms q nor looks up the table again
+        cfg = PolicyConfig(
+            tau_min=0.05, tau_max=4.0, tau_grid_size=6, theta_grid_size=12, coherence_time=10.0,
+        )
+        ds = _distinct_posteriors(GRID, 10.0)
+        moments = _moments(ds, cfg)
+        r, i, j = np.indices((len(ds), cfg.tau_grid_size, policies._scored_theta_count(cfg)))
+        need = (r + i + j) % 3 == 0
+        full, masked = _mi_matrix(moments, cfg), _mi_matrix(moments, cfg, need)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the cell builder formed q or looked up the table")
+
+        monkeypatch.setattr(policies, "_weights", must_not_run)
+        monkeypatch.setattr(policies, "_harmonic_table", must_not_run)
+        assert np.array_equal(_mi_matrix(moments, cfg), full)
+        assert np.array_equal(_mi_matrix(moments, cfg, need), masked)
+
+    def test_one_q_stack_per_decision(self, monkeypatch):
+        cfg = PolicyConfig(
+            tau_min=0.05, tau_max=4.0, tau_grid_size=6, theta_grid_size=12, coherence_time=10.0,
+        )
+        ds = _distinct_posteriors(GRID, 10.0)
+        weights, stacks = policies._weights, []
+
+        def counting(ds):
+            stacks.append(len(ds))
+            return weights(ds)
+
+        monkeypatch.setattr(policies, "_weights", counting)
+        myopic_choices(ds, cfg)
+        assert stacks == [len(ds)]
 
 
 def _random_posteriors(grid, coherence_time, seed, count):
@@ -558,7 +593,7 @@ def _assert_screen_covers(ds, cfg):
     # at k = 1 and at k = _SCREEN_TERMS every cell's exact score lies
     # within its estimate's error bar; returns the k = _SCREEN_TERMS
     # error bars
-    exact = _mi_matrix(ds, cfg)
+    exact = _mi_matrix(_moments(ds, cfg), cfg)
     for k in (1, _SCREEN_TERMS):
         est, width = _screen(_moments(ds, cfg), cfg, np.arange(cfg.tau_grid_size), k)
         assert width.shape == (len(ds), cfg.tau_grid_size)
@@ -577,7 +612,7 @@ class TestBoundPrunedChoice:
         )
         for seed in range(5):
             for d in _myopic_trajectory(grid, cfg, seed, 10):
-                full = _mi_matrix([d], cfg)[0]
+                full = _mi_matrix(_moments([d], cfg), cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
 
@@ -592,7 +627,7 @@ class TestBoundPrunedChoice:
               for seed, steps in ((0, 1), (1, 4), (2, 7), (3, 10))]
         chosen = myopic_choices(ds, cfg)
         assert chosen == [next_params_myopic_entropy(_state(d), cfg) for d in ds]
-        full = _mi_matrix(ds, cfg)
+        full = _mi_matrix(_moments(ds, cfg), cfg)
         assert [(p.tau, p.theta) for p in chosen] == [_best_cell(m, cfg) for m in full]
 
     @pytest.mark.parametrize("theta_grid_size", [12, 9])
@@ -612,8 +647,8 @@ class TestBoundPrunedChoice:
         r, i, j = np.indices((3, 6, policies._scored_theta_count(cfg)))
         need = rows[:, :, None] & ((r + i + j) % 3 != 0)
         need[2, 5] = True
-        got = _mi_matrix(ds, cfg, need)
-        full = _mi_matrix(ds, cfg)
+        got = _mi_matrix(_moments(ds, cfg), cfg, need)
+        full = _mi_matrix(_moments(ds, cfg), cfg)
         assert got.shape == full.shape == need.shape
         assert not need[rows].all() and need[rows].any(axis=-1).all()
         assert np.all(got[~need] == -np.inf)
@@ -634,12 +669,12 @@ class TestBoundPrunedChoice:
         full_matrix = policies._mi_matrix
         masks = []
 
-        def recording(ds, cfg, need=None):
+        def recording(moments, cfg, need=None):
             masks.append(need)
-            return full_matrix(ds, cfg, need)
+            return full_matrix(moments, cfg, need)
 
         monkeypatch.setattr(policies, "_mi_matrix", recording)
-        full = full_matrix(ds, cfg)
+        full = full_matrix(_moments(ds, cfg), cfg)
         tied = full >= full.max(axis=(1, 2), keepdims=True) - TIE_TOL
         for r in (1, 8):
             masks.clear()
@@ -672,13 +707,13 @@ class TestBoundPrunedChoice:
         full_matrix = policies._mi_matrix
         masks = []
 
-        def recording(ds, cfg, need=None):
+        def recording(moments, cfg, need=None):
             masks.append(need)
-            return full_matrix(ds, cfg, need)
+            return full_matrix(moments, cfg, need)
 
         monkeypatch.setattr(policies, "TIE_TOL", 0.0)
         monkeypatch.setattr(policies, "_mi_matrix", recording)
-        full = full_matrix(ds, cfg)
+        full = full_matrix(_moments(ds, cfg), cfg)
         best = full.max(axis=(1, 2), keepdims=True)
         for series_err, r in itertools.product((policies.CONTRAST_SERIES_ERR, 0.0), (1, len(ds))):
             monkeypatch.setattr(policies, "CONTRAST_SERIES_ERR", series_err)
@@ -777,10 +812,10 @@ class TestFourierScreen:
         built, cells, screens = [], [], []
         full_matrix, full_screen = policies._mi_matrix, policies._screen
 
-        def counting(ds, cfg, need=None):
+        def counting(moments, cfg, need=None):
             built.append(need.any(axis=(0, 2)).mean())
             cells.append(need.mean())
-            return full_matrix(ds, cfg, need)
+            return full_matrix(moments, cfg, need)
 
         def counting_screen(moments, cfg, taus, k):
             screens.append((k, taus.tolist()))
@@ -790,7 +825,7 @@ class TestFourierScreen:
         monkeypatch.setattr(policies, "_screen", counting_screen)
         for seed in range(2):
             for d in _myopic_trajectory(GRID, cfg, seed, 30):
-                full = full_matrix([d], cfg)[0]
+                full = full_matrix(_moments([d], cfg), cfg)[0]
                 p = next_params_myopic_entropy(_state(d), cfg)
                 assert (p.tau, p.theta) == _best_cell(full, cfg)
         # the screen builds few rows (the point of it); every decision

@@ -91,6 +91,14 @@ class TestSimConfig:
             _cfg(master_seed=-1)
         assert _cfg(master_seed=0).master_seed == 0
 
+    @pytest.mark.parametrize("key", ["tau_max", "kpe_tau0"])
+    def test_exposure_phase_must_be_finite(self, key):
+        # 2 tau b overflows to inf, whose cosine is NaN, so every
+        # likelihood of such an exposure would be NaN
+        with pytest.raises(ValueError, match=rf"key '{key}': require a finite phase"):
+            _cfg(**{key: 1e308})
+        assert getattr(_cfg(**{key: 1e306}).policy, key) == 1e306
+
 
 class TestSampleOutcome:
     def test_certain_zero(self):
