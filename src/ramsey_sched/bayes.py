@@ -76,6 +76,10 @@ class FieldGrid:
     def __post_init__(self) -> None:
         if not -math.inf < self.b_min < self.b_max < math.inf:
             raise ValueError(f"require finite b_min < b_max, got [{self.b_min}, {self.b_max}]")
+        # Python floats overflow quietly; a finite b^2 makes b_max - b_min finite too
+        lo, hi = float(self.b_min), float(self.b_max)
+        if not math.isfinite(max(lo * lo, hi * hi)):
+            raise ValueError(f"require finite b_min^2 and b_max^2, got [{self.b_min}, {self.b_max}]")
         if self.n_points < 2:
             raise ValueError(f"require n_points >= 2, got {self.n_points}")
         pts = np.linspace(self.b_min, self.b_max, self.n_points)
@@ -202,8 +206,11 @@ class RamseyParams:
 
 
 def _fringe(b: np.ndarray, p: RamseyParams) -> np.ndarray:
-    """cos(2 tau b + theta), the fringe every likelihood rescales."""
-    return np.cos(2.0 * p.tau * b + p.theta)
+    """cos(2 tau b + theta), the fringe every likelihood rescales, formed
+    in place in one new array of b's shape."""
+    out = np.multiply(2.0 * p.tau, b, out=np.empty(np.shape(b)))
+    out += p.theta
+    return np.cos(out, out=out)
 
 
 def likelihood(x: int, b, p: RamseyParams):
@@ -211,13 +218,16 @@ def likelihood(x: int, b, p: RamseyParams):
 
     Outcome 0 has probability 1/2 + exp(-tau/T) cos(2 b tau + theta)/2;
     outcome 1 is computed as its exact complement, so the two outcomes sum
-    to 1.0 exactly for every ``b``.
+    to 1.0 exactly for every ``b``.  Both are finished in place in the
+    fringe's one array; a scalar ``b`` gives a float.
     """
     if x not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {x!r}")
-    b_arr = np.asarray(b, dtype=float)
-    l0 = 0.5 + 0.5 * p.contrast * _fringe(b_arr, p)
-    out = l0 if x == 0 else 1.0 - l0
+    out = _fringe(np.asarray(b, dtype=float), p)
+    out *= 0.5 * p.contrast
+    out += 0.5
+    if x == 1:
+        np.subtract(1.0, out, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -229,28 +239,19 @@ def predictive_prob(d: FieldDistribution, p: RamseyParams, x: int) -> float:
 def bayes_update(d: FieldDistribution, p: RamseyParams, x: int) -> FieldDistribution:
     """Posterior after observing outcome ``x`` with controls ``p``.
 
-    The fringe, the likelihood, its product with the prior and the
-    division by the evidence are formed in place in one array, in
-    :func:`likelihood`'s operation order, so the posterior is bit-identical
-    to its oracle, ``FieldDistribution(d.grid, likelihood(x,
-    d.grid.points, p) * d.density / evidence)``.  The likelihood and the
-    prior are non-negative and the division normalises, so only the
-    evidence is checked.
+    The product with the prior and the division by the evidence are
+    formed in place in the one array :func:`likelihood` returns, so the
+    posterior is bit-identical to its oracle, ``FieldDistribution(d.grid,
+    likelihood(x, d.grid.points, p) * d.density / evidence)``.  The
+    likelihood and the prior are non-negative and the division
+    normalises, so only the evidence is checked.
 
     Raises:
         ZeroEvidence: the outcome has probability <= 1e-300 under ``d``.
         ValueError: ``x`` is not 0 or 1, or the evidence is not finite
             (as when 2 tau b overflows).
     """
-    if x not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {x!r}")
-    post = np.multiply(2.0 * p.tau, d.grid.points)
-    post += p.theta
-    np.cos(post, out=post)
-    post *= 0.5 * p.contrast
-    post += 0.5
-    if x == 1:
-        np.subtract(1.0, post, out=post)
+    post = likelihood(x, d.grid.points, p)
     post *= d.density
     evidence = d.grid.integrate(post)
     if not math.isfinite(evidence):

@@ -196,12 +196,11 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
     h = binary_entropy(0.5 * (1.0 + np.cos(x)))
     coeffs = np.empty(j_max + 1)
     coeffs[0] = float(np.mean(h))
-    if j_max >= 1:
-        # the basis cos(2 j x), built in place in one buffer; doubling is
-        # exact, so (2 j) x rounds as 2 (j x) does
-        basis = np.multiply.outer(2.0 * np.arange(1, j_max + 1), x)
-        np.cos(basis, out=basis)
-        coeffs[1:] = 2.0 * (basis @ h) / n_panels
+    # the basis cos(2 j x), built in place in one buffer; doubling is
+    # exact, so (2 j) x rounds as 2 (j x) does
+    basis = np.multiply.outer(2.0 * np.arange(1, j_max + 1), x)
+    np.cos(basis, out=basis)
+    coeffs[1:] = 2.0 * (basis @ h) / n_panels
     coeffs.flags.writeable = False
     return coeffs
 

@@ -387,7 +387,6 @@ def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig
     all posteriors' w is not).
     """
     grid, qs = _weights(ds)
-    taus = tau_search_grid(cfg)
     thetas = theta_search_grid(cfg)[: _scored_theta_count(cfg)]
     # w[r] = q, q b, q b^2 of posterior r, written in place
     w = np.empty((len(ds), 3, grid.n_points))
@@ -399,11 +398,11 @@ def _expected_variance_matrix(ds: Sequence[FieldDistribution], cfg: PolicyConfig
     # wcs[r] holds w_k . c_i in its first tau rows and w_k . s_i in the rest
     cs = _harmonic_table(grid, cfg)[:2].reshape(-1, grid.n_points)
     wcs = np.matmul(cs, w.transpose(0, 2, 1))
-    wc, ws = wcs.reshape(len(ds), 2, len(taus), 3).transpose(1, 3, 0, 2)[..., None]
+    wc, ws = wcs.reshape(len(ds), 2, cfg.tau_grid_size, 3).transpose(1, 3, 0, 2)[..., None]
     half_c = 0.5 * _contrasts(cfg)[:, None]
     # moments[k, r, i, j] = sum_b w_k(b) l0(b; tau_i, theta_j) for posterior r
     moments = _outcome_moment(tot, half_c, wc, ws, np.cos(thetas), np.sin(thetas))
-    out = np.zeros((len(ds), len(taus), len(thetas)))
+    out = np.zeros((len(ds), cfg.tau_grid_size, len(thetas)))
     for m0, m1, m2 in (moments, tot - moments):
         ok = m0 > ZERO_EVIDENCE_FLOOR
         mm = np.where(ok, m0, 1.0)

@@ -196,11 +196,9 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
     histories: list[list[tuple[RamseyParams, int]]] = [[] for _ in indices]
     records: list[list[StepRecord]] = [[] for _ in indices]
     for step in range(1, cfg.n_measurements + 1):
-        if cfg.policy.kind == "myopic_entropy":
-            picks = myopic_choices(level, cfg.policy)
-            chosen = [picks[n] for n in at]
-        elif cfg.policy.kind == "variance_min":
-            picks = variance_choices(level, cfg.policy)
+        if cfg.policy.kind in ("myopic_entropy", "variance_min"):
+            choose = myopic_choices if cfg.policy.kind == "myopic_entropy" else variance_choices
+            picks = choose(level, cfg.policy)
             chosen = [picks[n] for n in at]
         else:
             chosen = [

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from ramsey_sched.bayes import (
     FieldGrid,
     RamseyParams,
     ZeroEvidence,
+    _fringe,
     bayes_update,
     binary_entropy,
     distribution_from_density,
@@ -83,6 +85,15 @@ class TestFieldGrid:
         # an infinite bound makes every point and weight inf or nan
         with pytest.raises(ValueError, match=rf"require finite b_min < b_max, got \[{b_min}, {b_max}\]"):
             FieldGrid(b_min, b_max, 16)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b_min, b_max", [(-1e200, 1e200), (-1.7e308, 1.7e308), (0.0, 1e155)])
+    def test_overflowing_square_or_spacing_rejected(self, b_min, b_max):
+        # b^2 (the cached points_squared) or b_max - b_min overflows; the
+        # check itself raises no warning
+        msg = re.escape(f"require finite b_min^2 and b_max^2, got [{b_min}, {b_max}]")
+        with pytest.raises(ValueError, match=msg):
+            FieldGrid(b_min, b_max, 4)
 
     def test_points_squared_is_read_only(self):
         assert np.array_equal(GRID.points_squared, GRID.points * GRID.points)
@@ -327,6 +338,31 @@ class TestBayesUpdate:
         for seed in range(5):
             d = bayes_update(d, _random_params(seed), seed % 2)
         assert GRID.integrate(d.density) == pytest.approx(1.0, abs=1e-9)
+
+
+def _peak_grid_arrays(call) -> float:
+    """Peak memory traced during ``call()``, in GRID-length float arrays."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * GRID.n_points)
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneBuffer:
+    """The fringe, each likelihood and the update each allocate one grid array."""
+
+    @pytest.mark.parametrize("call", [
+        lambda d, p: _fringe(d.grid.points, p),
+        lambda d, p: likelihood(0, d.grid.points, p),
+        lambda d, p: likelihood(1, d.grid.points, p),
+        lambda d, p: bayes_update(d, p, 1),
+    ], ids=["fringe", "likelihood-0", "likelihood-1", "bayes_update"])
+    def test_peak_is_one_grid_array(self, call):
+        d = gaussian_distribution(GRID, 0.5, 2.0)
+        p = RamseyParams(1.3, 0.7, 4.0)
+        assert _peak_grid_arrays(lambda: call(d, p)) <= 1.1
 
 
 def _xlogx_points(top):

@@ -303,6 +303,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: key {key!r}: require a finite phase")
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["mi-surface", "compare", "kpe-check"])
+    def test_overflowing_grid_is_2(self, tmp_path, capsys, command):
+        # b^2 overflows: rejected by the grid, naming both bounds, with no
+        # numpy warning, before any CSV is written
+        path = _write(tmp_path, "c.cfg", "b_min = -1e200\nb_max = 1e200\nn_points = 64\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "b_min" in err and "b_max" in err
+        assert not list(out.glob("*.csv"))
+
 
 def _python_with_package(*args, **env):
     """Run a fresh interpreter that imports this ramsey_sched, with ``env`` added to its environment."""
