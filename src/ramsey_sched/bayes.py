@@ -354,22 +354,19 @@ def expected_posterior_functional(d: FieldDistribution, p: RamseyParams, g: str)
     """Outcome-averaged value of a posterior functional.
 
     ``g`` selects the functional ("entropy" or "variance").  An outcome
-    whose predictive probability is zero contributes nothing; if both
-    outcomes are impossible (cannot happen for a normalized prior) the
-    ZeroEvidence from the update propagates.
+    whose predictive probability is at or below ``ZERO_EVIDENCE_FLOOR``
+    contributes nothing; the two probabilities of a normalised prior sum
+    to 1, so at most one outcome is dropped.  A NaN probability goes on
+    to the update, which raises ValueError.
     """
     try:
         functional = _FUNCTIONALS[g]
     except KeyError:
         raise ValueError(f"unknown functional tag {g!r}; expected one of {sorted(_FUNCTIONALS)}")
     total = 0.0
-    possible = False
     for x in (0, 1):
         px = predictive_prob(d, p, x)
         if px <= ZERO_EVIDENCE_FLOOR:
             continue
-        possible = True
         total += px * functional(bayes_update(d, p, x))
-    if not possible:
-        raise ZeroEvidence("no outcome has positive probability under the prior")
     return total

@@ -271,9 +271,8 @@ def cmd_mi_surface(cfg: dict) -> tuple[dict, str | None]:
     _check_mi_surface_keys(cfg)
     grid = _grid(cfg)
     _check_phases(grid, tau_max=cfg["tau_max"])
-    # the prior first: it names a non-finite mean or std
-    prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
     check_prior_coverage(grid, cfg["prior_mean"], cfg["prior_std"])
+    prior = gaussian_distribution(grid, cfg["prior_mean"], cfg["prior_std"])
     taus = [float(tau) for tau in np.linspace(cfg["tau_min"], cfg["tau_max"], cfg["tau_grid_size"])]
     Ts = cfg["coherence_times"]
     surface = mutual_information_surface(prior, taus, cfg["theta"], Ts)

@@ -154,8 +154,9 @@ class PolicyConfig:
             raise ValueError(f"kind must be one of {POLICY_KINDS}, got {self.kind!r}")
         if not 0.0 < self.tau_min < self.tau_max < math.inf:
             raise ValueError(f"require 0 < tau_min < tau_max < inf, got [{self.tau_min}, {self.tau_max}]")
-        if self.tau_grid_size < 1 or self.theta_grid_size < 1:
-            raise ValueError("grid sizes must be positive")
+        for key in ("tau_grid_size", "theta_grid_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"require {key} >= 1, got {getattr(self, key)}")
         if not 0.0 < self.kpe_tau0 < math.inf:
             raise ValueError(f"require finite kpe_tau0 > 0, got {self.kpe_tau0}")
         if not math.isfinite(self.kpe_theta0):
@@ -167,7 +168,8 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class PolicyState:
-    """Posterior plus the (params, outcome) history that produced it."""
+    """Posterior plus the (params, outcome) history that produced it: a
+    node of ``simulate``'s outcome tree, and what the blind policies read."""
 
     posterior: FieldDistribution
     history: tuple[tuple[RamseyParams, int], ...] = ()
@@ -563,14 +565,11 @@ def compare_kpe_to_myopic(
     outcomes = [int(x) for x in outcomes]
     if any(x not in (0, 1) for x in outcomes):
         raise ValueError("outcomes must be 0/1")
-    posterior = uniform_distribution(grid)
-    history: list[tuple[RamseyParams, int]] = []
-    params = next_params_kpe(PolicyState(posterior), cfg)
+    state = PolicyState(uniform_distribution(grid))
+    params = next_params_kpe(state, cfg)
     rows: list[KpeCheckRow] = []
     for i, x in enumerate(outcomes, start=1):
-        posterior = bayes_update(posterior, params, x)
-        history.append((params, x))
-        state = PolicyState(posterior, tuple(history), len(history))
+        state = PolicyState(bayes_update(state.posterior, params, x), state.history + ((params, x),), i)
         kpe = next_params_kpe(state, cfg)
         myo = next_params_myopic_entropy(state, cfg)
         rows.append(

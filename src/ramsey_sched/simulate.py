@@ -6,19 +6,21 @@ field's likelihood, update the posterior, and record its entropy and
 spread.
 
 ``run_trials`` is the one trial loop, and this module alone decides
-which trials advance together.  The two greedy kinds advance in
-lockstep and share history prefixes: trials with the same outcomes so
-far hold one posterior, since a greedy choice depends on the posterior
-alone.  At each step one batch chooser call scores every distinct
-posterior, once, and the choice goes to every trial that holds it; each
-trial then samples its own outcome, and each distinct (history, outcome)
-is updated once, its posterior and statistics shared by every trial
-that reaches it.  ``policies.myopic_choices`` scores the posteriors
-against one shared entropy block per tau (for the taus that the Fourier
-screen does not rule out for some posterior), and
+which trials advance together.  The trials of a call walk one outcome
+tree, whose nodes are ``policies.PolicyState``s: a node's children are
+keyed on (node, params, outcome), so trials that took the same controls
+and saw the same outcomes share a node, whose posterior and statistics
+are formed once.  The two greedy kinds advance in lockstep: a greedy
+choice depends on the posterior alone, so at each step one batch
+chooser call scores every distinct posterior, once, and the choice goes
+to every trial at that node.  ``policies.myopic_choices`` scores the
+posteriors against one shared entropy block per tau (for the taus that
+the Fourier screen does not rule out for some posterior), and
 ``policies.variance_choices`` with one stacked product with the harmonic
-table.  The other kinds share no scoring work and run one trial at a
-time, each step asking ``policies.next_params``.
+table.  The blind kinds share no scoring work and run one trial per
+call, each step asking ``policies.next_params`` of the trial's node: in
+lockstep a level would hold a posterior per trial, since random trials
+never share a child.
 Each trial draws from its own stream, derived from (master_seed,
 trial_index), in a fixed order (true field, the policy's draws, the
 outcome), so a trajectory is bit-identical whether its trial runs alone
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bayes import (
-    FieldDistribution,
     FieldGrid,
     RamseyParams,
     ZeroEvidence,
@@ -54,7 +55,12 @@ from .policies import PolicyConfig, PolicyState, myopic_choices, next_params, va
 
 
 def check_prior_coverage(grid: FieldGrid, prior_mean: float, prior_std: float) -> None:
-    """Raise ValueError unless the grid covers prior_mean +- 6 prior_std."""
+    """Raise ValueError unless the prior is finite with a positive std and
+    the grid covers prior_mean +- 6 prior_std."""
+    if not math.isfinite(prior_mean):
+        raise ValueError(f"require finite prior_mean, got {prior_mean}")
+    if not 0.0 < prior_std < math.inf:
+        raise ValueError(f"require finite prior_std > 0, got {prior_std}")
     lo = prior_mean - 6.0 * prior_std
     hi = prior_mean + 6.0 * prior_std
     if lo < grid.b_min or hi > grid.b_max:
@@ -98,8 +104,6 @@ class SimConfig:
     true_field: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.prior_std > 0.0:
-            raise ValueError(f"require prior_std > 0, got {self.prior_std}")
         if self.n_measurements < 0:
             raise ValueError(f"require n_measurements >= 0, got {self.n_measurements}")
         if self.n_realizations < 1:
@@ -161,10 +165,11 @@ def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]
 
     Greedy trials advance in lockstep, so each step's ``myopic_choices``
     or ``variance_choices`` call scores every distinct posterior at once,
-    and trials that share an outcome history share its update; the other
-    kinds run one trial at a time through ``run_trial`` and hold a single
-    posterior.  Either way a trial's trajectory does not depend on which
-    other trials run beside it.
+    and trials that share a history share its update; the blind kinds
+    run one trial per call through ``run_trial``, which holds one
+    posterior at a time.  ``_run_lockstep`` is correct for any kind and
+    grouping, so a trial's trajectory does not depend on which other
+    trials run beside it.
 
     Raises:
         ZeroEvidence: an outcome had (numerically) zero probability; the
@@ -186,40 +191,37 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
         b_trues = [float(cfg.true_field)] * len(indices)
     else:
         b_trues = [float(rng.normal(cfg.prior_mean, cfg.prior_std)) for rng in rngs]
-    # Trials that share an outcome history share its node: level[n] is the
-    # posterior of node n, at[r] is trial r's node, and nodes are numbered
-    # in order of the first trial that reaches them.  A greedy choice is a
-    # function of the posterior alone, so a node's children are keyed on
-    # (node, outcome); the blind kinds only ever run one trial here.
-    level = [gaussian_distribution(cfg.grid, cfg.prior_mean, cfg.prior_std)]
+    # Trials that share a history share its node: level[n] is node n, at[r]
+    # is trial r's node, and nodes are numbered in order of the first trial
+    # that reaches them.  Children are keyed on (node, params, outcome), so
+    # two trials share a child only if they took the same controls and saw
+    # the same outcome, whatever their kind.
+    level = [PolicyState(gaussian_distribution(cfg.grid, cfg.prior_mean, cfg.prior_std))]
     at = [0] * len(indices)
-    histories: list[list[tuple[RamseyParams, int]]] = [[] for _ in indices]
     records: list[list[StepRecord]] = [[] for _ in indices]
     for step in range(1, cfg.n_measurements + 1):
         if cfg.policy.kind in ("myopic_entropy", "variance_min"):
             choose = myopic_choices if cfg.policy.kind == "myopic_entropy" else variance_choices
-            picks = choose(level, cfg.policy)
+            picks = choose([node.posterior for node in level], cfg.policy)
             chosen = [picks[n] for n in at]
         else:
-            chosen = [
-                next_params(PolicyState(level[n], tuple(hist), len(hist)), cfg.policy, rng)
-                for n, hist, rng in zip(at, histories, rngs)
-            ]
-        children: dict[tuple[int, int], int] = {}
-        next_level: list[FieldDistribution] = []
+            chosen = [next_params(level[n], cfg.policy, rng) for n, rng in zip(at, rngs)]
+        children: dict[tuple[int, RamseyParams, int], int] = {}
+        next_level: list[PolicyState] = []
         made: list[StepRecord] = []
         for r, params in enumerate(chosen):
             outcome = sample_outcome(rngs[r], b_trues[r], params)
-            child = children.get((at[r], outcome))
+            child = children.get((at[r], params, outcome))
             if child is None:
+                node = level[at[r]]
                 try:
-                    posterior = bayes_update(level[at[r]], params, outcome)
+                    posterior = bayes_update(node.posterior, params, outcome)
                 except ZeroEvidence as exc:
                     raise ZeroEvidence(
                         f"trial {indices[r]}, step {step}, master_seed {cfg.master_seed}: {exc}"
                     ) from exc
-                child = children[at[r], outcome] = len(next_level)
-                next_level.append(posterior)
+                child = children[at[r], params, outcome] = len(next_level)
+                next_level.append(PolicyState(posterior, node.history + ((params, outcome),), step))
                 made.append(
                     StepRecord(
                         step=step,
@@ -233,7 +235,6 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
                 )
             at[r] = child
             records[r].append(made[child])
-            histories[r].append((params, outcome))
         level = next_level
     return [
         Trajectory(cfg.master_seed, i, b_true, tuple(recs))

@@ -229,11 +229,11 @@ class TestExitCodes:
         ("compare", "kpe_theta0 = nan", "finite kpe_theta0, got nan"),
         ("compare", "kpe_tau0 = inf", "finite kpe_tau0 > 0, got inf"),
         ("kpe-check", "kpe_theta0 = -inf", "finite kpe_theta0, got -inf"),
-        ("mi-surface", "prior_std = inf", "finite std > 0, got inf"),
+        ("mi-surface", "prior_std = inf", "finite prior_std > 0, got inf"),
         ("compare", "b_max = inf", "finite b_min < b_max, got [-20.0, inf]"),
         ("mi-surface", "b_min = nan", "finite b_min < b_max, got [nan, 20.0]"),
-        ("compare", "prior_mean = nan", "finite mean, got nan"),
-        ("mi-surface", "prior_mean = nan", "finite mean, got nan"),
+        ("compare", "prior_mean = nan", "finite prior_mean, got nan"),
+        ("mi-surface", "prior_mean = nan", "finite prior_mean, got nan"),
     ])
     def test_non_finite_control_is_2(self, tmp_path, capsys, command, line, named):
         # rejected where the value is made, before any scoring or output;
@@ -263,6 +263,33 @@ class TestExitCodes:
         assert main(["mi-surface", "--config", path, "--out", str(out)]) == 2
         assert f"key 'tau_grid_size': require >= 1, got {size}" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["compare", "kpe-check"])
+    @pytest.mark.parametrize("line, named", [
+        ("tau_grid_size = 0", "require tau_grid_size >= 1, got 0"),
+        ("theta_grid_size = -1", "require theta_grid_size >= 1, got -1"),
+    ])
+    def test_policy_grid_size_names_its_key(self, tmp_path, capsys, command, line, named):
+        path = _write(tmp_path, "c.cfg", line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {named}\n"
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mean, lo, hi", [
+        ("1000", 1000 - 18 / math.sqrt(2), 1000 + 18 / math.sqrt(2)),
+        ("1e308", 1e308, 1e308),
+    ], ids=["1000", "1e308"])
+    def test_mi_surface_off_grid_prior_is_2(self, tmp_path, capsys, mean, lo, hi):
+        # checked before the prior is formed: an off-grid Gaussian has no
+        # mass on the grid, and at 1e308 its z-scores overflow
+        path = _write(tmp_path, "c.cfg", f"prior_mean = {mean}\n")
+        out = tmp_path / "out"
+        assert main(["mi-surface", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: grid [-20.0, 20.0] must cover prior_mean +- 6 std ([{lo}, {hi}])\n"
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("lines, named", [

@@ -76,6 +76,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             _cfg(prior_std=5.0)  # 6 sigma = 30 > 20
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("prior_mean", math.nan, "finite prior_mean, got nan"),
+        ("prior_std", math.inf, "finite prior_std > 0, got inf"),
+        ("prior_std", 0.0, "finite prior_std > 0, got 0.0"),
+    ])
+    def test_prior_must_be_finite(self, key, value, named):
+        # NaN fails both of the coverage comparisons, so it is named first
+        with pytest.raises(ValueError, match=rf"^require {named}$"):
+            _cfg(**{key: value})
+
     @pytest.mark.parametrize("true_field", [35.0, -20.5, math.nan])
     def test_true_field_must_lie_on_grid(self, true_field):
         with pytest.raises(ValueError, match=rf"true_field {true_field} .*\[-20.0, 20.0\]"):
@@ -186,6 +196,18 @@ class TestRunTrials:
         assert run_trials(cfg, range(3)) == alone
         assert run_trials(cfg, [2, 0]) == [alone[2], alone[0]]
         assert run_trials(cfg, []) == []
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_lockstep_tree_is_correct_for_every_kind(self, kind):
+        # run_trials sends the blind kinds one trial per call, but the tree
+        # keys children on (node, params, outcome), so any kind and grouping
+        # walks it correctly: random trials that see the same outcome after
+        # different draws must not share a child
+        cfg = _cfg(
+            kind, n_measurements=4, tau_grid_size=8, theta_grid_size=8,
+            grid=FieldGrid(-20.0, 20.0, 2**9),
+        )
+        assert simulate._run_lockstep(cfg, [0, 1, 2]) == [run_trial(cfg, i) for i in range(3)]
 
     @pytest.mark.parametrize(
         "kind, calls",
