@@ -9,7 +9,6 @@ from .bayes import (
     ZeroEvidence,
     bayes_update,
     binary_entropy,
-    distribution_from_density,
     entropy,
     expected_posterior_functional,
     gaussian_distribution,
@@ -17,8 +16,6 @@ from .bayes import (
     mean,
     mutual_information,
     mutual_information_surface,
-    predictive_prob,
-    spike_distribution,
     uniform_distribution,
     variance,
 )
@@ -43,7 +40,6 @@ from .policies import (
     next_params_variance_min,
 )
 from .simulate import (
-    EnsembleSummary,
     SimConfig,
     Trajectory,
     run_ensemble,

@@ -16,10 +16,12 @@ configuration and listing every artifact.
 Each ``cmd_*`` is a function of its resolved config alone.  It returns
 ``(artifacts, failure)``: ``artifacts`` maps each CSV name to
 ``(header, rows)`` in write order, and ``failure`` is None or the stderr
-line of a failed check.  ``main`` writes every file, so no file is
-written until every result is computed.  Every command returns at least
-one CSV, and a failed check still writes its CSVs and manifest before
-exiting 1.
+line of a failed check.  ``compare`` and ``kpe-check`` write one row type
+each, ``simulate.SummaryRow`` and ``policies.KpeCheckRow``: the header is
+its field names and a row its fields.  ``main`` writes every file, so no
+file is written until every result is computed.  Every command returns
+at least one CSV, and a failed check still writes its CSVs and manifest
+before exiting 1.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure during a run (an outcome with zero evidence; the
@@ -53,7 +55,7 @@ from .fourier import (
     contrast_entropy_series,
 )
 from .policies import POLICY_KINDS, KpeCheckRow, PolicyConfig, compare_kpe_to_myopic
-from .simulate import SimConfig, _check_phases, check_prior_coverage, run_ensemble
+from .simulate import SimConfig, SummaryRow, _check_phases, check_prior_coverage, run_ensemble
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -293,16 +295,11 @@ def cmd_compare(cfg: dict) -> tuple[dict, str | None]:
     """Run every requested policy with identical seeds; one CSV each."""
     grid = _grid(cfg)
     sim = {key: cfg[key] for key in _SIM_KEYS}
-    header = ["step", "mean_entropy", "std_entropy", "mean_posterior_std", "std_posterior_std"]
+    header = [f.name for f in dataclasses.fields(SummaryRow)]
     artifacts = {}
     for kind in cfg["policies"]:
-        s = run_ensemble(SimConfig(policy=_policy_config(cfg, kind), grid=grid, **sim))
-        rows = [
-            (step + 1, s.mean_entropy[step], s.std_entropy[step],
-             s.mean_posterior_std[step], s.std_posterior_std[step])
-            for step in range(len(s.mean_entropy))
-        ]
-        artifacts[f"compare_{kind}.csv"] = (header, rows)
+        rows = run_ensemble(SimConfig(policy=_policy_config(cfg, kind), grid=grid, **sim))
+        artifacts[f"compare_{kind}.csv"] = (header, [dataclasses.astuple(r) for r in rows])
     return artifacts, None
 
 

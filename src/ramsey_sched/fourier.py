@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bayes import FieldDistribution, RamseyParams, TWO_PI, binary_entropy
+from .bayes import FieldDistribution, RamseyParams, TWO_PI, binary_entropy, dot
 
 # Peaks closer than this in frequency are merged into one.
 MERGE_TOL = 1e-9
@@ -200,7 +200,8 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
     # exact, so (2 j) x rounds as 2 (j x) does
     basis = np.multiply.outer(2.0 * np.arange(1, j_max + 1), x)
     np.cos(basis, out=basis)
-    coeffs[1:] = 2.0 * (basis @ h) / n_panels
+    # one bayes.dot per row, so the bits do not depend on the BLAS thread count
+    coeffs[1:] = [2.0 * dot(row, h) / n_panels for row in basis]
     coeffs.flags.writeable = False
     return coeffs
 

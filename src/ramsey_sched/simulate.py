@@ -3,7 +3,8 @@
 A trial draws (or fixes) a true field value, then repeats: ask the
 policy for the next controls, sample a binary outcome from the true
 field's likelihood, update the posterior, and record its entropy and
-spread.
+spread.  ``summarize`` aggregates an ensemble into one ``SummaryRow`` per
+step, the row that ``compare`` writes.
 
 ``run_trials`` is the one trial loop, and this module alone decides
 which trials advance together.  The trials of a call walk one outcome
@@ -55,12 +56,14 @@ from .policies import PolicyConfig, PolicyState, myopic_choices, next_params, va
 
 
 def check_prior_coverage(grid: FieldGrid, prior_mean: float, prior_std: float) -> None:
-    """Raise ValueError unless the prior is finite with a positive std and
-    the grid covers prior_mean +- 6 prior_std."""
+    """Raise ValueError unless the prior is finite, spans at least 4 grid
+    spacings per std, and the grid covers prior_mean +- 6 prior_std."""
     if not math.isfinite(prior_mean):
         raise ValueError(f"require finite prior_mean, got {prior_mean}")
     if not 0.0 < prior_std < math.inf:
         raise ValueError(f"require finite prior_std > 0, got {prior_std}")
+    if prior_std < 4.0 * grid.spacing:
+        raise ValueError(f"require prior_std >= 4 grid spacings ({4.0 * grid.spacing}), got {prior_std}")
     lo = prior_mean - 6.0 * prior_std
     hi = prior_mean + 6.0 * prior_std
     if lo < grid.b_min or hi > grid.b_max:
@@ -141,13 +144,14 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class EnsembleSummary:
-    """Across-trial per-step means and stds (population std, ddof=0)."""
+class SummaryRow:
+    """One step's across-trial means and stds (population std, ddof=0)."""
 
-    mean_entropy: np.ndarray
-    std_entropy: np.ndarray
-    mean_posterior_std: np.ndarray
-    std_posterior_std: np.ndarray
+    step: int
+    mean_entropy: float
+    std_entropy: float
+    mean_posterior_std: float
+    std_posterior_std: float
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -247,20 +251,16 @@ def run_trial(cfg: SimConfig, trial_index: int) -> Trajectory:
     return _run_lockstep(cfg, [int(trial_index)])[0]
 
 
-def summarize(trajectories: list[Trajectory]) -> EnsembleSummary:
-    """Aggregate per-step statistics across trials."""
+def summarize(trajectories: list[Trajectory]) -> list[SummaryRow]:
+    """Aggregate per-step statistics across trials, one row per step."""
     if not trajectories:
         raise ValueError("need at least one trajectory")
     ent = np.array([[r.posterior_entropy for r in t.records] for t in trajectories])
     std = np.array([[r.posterior_std for r in t.records] for t in trajectories])
-    return EnsembleSummary(
-        mean_entropy=ent.mean(axis=0),
-        std_entropy=ent.std(axis=0),
-        mean_posterior_std=std.mean(axis=0),
-        std_posterior_std=std.std(axis=0),
-    )
+    columns = (ent.mean(axis=0), ent.std(axis=0), std.mean(axis=0), std.std(axis=0))
+    return [SummaryRow(step, *map(float, stats)) for step, stats in enumerate(zip(*columns), start=1)]
 
 
-def run_ensemble(cfg: SimConfig) -> EnsembleSummary:
+def run_ensemble(cfg: SimConfig) -> list[SummaryRow]:
     """Run n_realizations independent trials and aggregate them."""
     return summarize(run_trials(cfg, range(cfg.n_realizations)))

@@ -186,14 +186,12 @@ def test_criterion_5_policy_comparison():
         cfg = replace(standard, policy=replace(standard.policy, kind=kind))
         summaries[kind] = run_ensemble(cfg)
     elapsed = time.time() - t0
-    myopic30 = float(summaries["myopic_entropy"].mean_entropy[-1])
-    random30 = float(summaries["random"].mean_entropy[-1])
-    kpe30 = float(summaries["kpe"].mean_entropy[-1])
-    variance30 = float(summaries["variance_min"].mean_entropy[-1])
-    myopic_drop = float(
-        summaries["myopic_entropy"].mean_entropy[0] - summaries["myopic_entropy"].mean_entropy[-1]
-    )
-    kpe_drop = float(summaries["kpe"].mean_entropy[0] - summaries["kpe"].mean_entropy[-1])
+    myopic30 = summaries["myopic_entropy"][-1].mean_entropy
+    random30 = summaries["random"][-1].mean_entropy
+    kpe30 = summaries["kpe"][-1].mean_entropy
+    variance30 = summaries["variance_min"][-1].mean_entropy
+    myopic_drop = summaries["myopic_entropy"][0].mean_entropy - myopic30
+    kpe_drop = summaries["kpe"][0].mean_entropy - kpe30
     ok = (
         myopic30 < random30
         and myopic30 < kpe30

@@ -342,6 +342,20 @@ class TestExitCodes:
         assert err.startswith("config error: ") and "b_min" in err and "b_max" in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["compare", "mi-surface"])
+    @pytest.mark.parametrize("prior_std", ["1e-300", "0.001"])
+    def test_prior_narrower_than_grid_is_2(self, tmp_path, capsys, command, prior_std):
+        # rejected before the Gaussian is formed: at 1e-300 its z-scores
+        # overflow, and at 0.001 it would sit on a few grid points
+        path = _write(tmp_path, "c.cfg", f"prior_std = {prior_std}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: require prior_std >= 4 grid spacings (")
+        assert err.endswith(f"got {float(prior_std)}\n")
+        assert not list(out.glob("*.csv"))
+
 
 def _python_with_package(*args, **env):
     """Run a fresh interpreter that imports this ramsey_sched, with ``env`` added to its environment."""
@@ -495,6 +509,15 @@ class TestCompare:
         assert len(csvs[0]) == 2
         assert csvs[0] == csvs[1]
 
+    def test_zero_measurements_write_header_only_csvs(self, tmp_path):
+        cfg = _write(tmp_path, "c.cfg", self.CFG.replace("n_measurements = 4", "n_measurements = 0"))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        for kind in ("random", "kpe", "variance_min", "myopic_entropy"):
+            assert (out / f"compare_{kind}.csv").read_text() == (
+                "step,mean_entropy,std_entropy,mean_posterior_std,std_posterior_std\n"
+            )
+
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", self.CFG + "policies = random\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -530,6 +553,20 @@ class TestValidateAlpha:
         assert main(["validate-alpha", "--out", str(out), "--j-max", "70"]) == 0
         rows = (out / "alpha_validation.csv").read_text().splitlines()[-2:]
         assert [float(r.split(",")[3]) < 1e-9 for r in rows] == [True, True]
+
+    def test_byte_identical_under_one_and_two_blas_threads(self, tmp_path):
+        # at j_max = 386 one GEMV over the whole basis would be split
+        # across OpenBLAS threads; each coefficient is its own grid dot
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = _python_with_package(
+                "-m", "ramsey_sched.cli", "validate-alpha", "--j-max", "386", "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csvs.append((out / "alpha_validation.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     @pytest.mark.parametrize(
         "j_max, limit",

@@ -10,6 +10,7 @@ from ramsey_sched.bayes import (
     bayes_update,
     binary_entropy,
     distribution_from_density,
+    dot,
     gaussian_distribution,
     likelihood,
     mutual_information,
@@ -268,8 +269,8 @@ class TestAlphaSeries:
         x = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
         h = binary_entropy(0.5 * (1.0 + np.cos(x)))
         j = np.arange(1, j_max + 1)
-        expect = 2.0 * (np.cos(2.0 * np.outer(j, x)) @ h) / n
-        assert alpha_series_quadrature(j_max)[1:].tolist() == expect.tolist()
+        expect = [2.0 * dot(row, h) / n for row in np.cos(2.0 * np.outer(j, x))]
+        assert alpha_series_quadrature(j_max)[1:].tolist() == expect
 
     def test_sine_component_vanishes(self):
         # even symmetry: replacing cos(2jx) by sin(2jx) integrates to zero

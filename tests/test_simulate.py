@@ -86,6 +86,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=rf"^require {named}$"):
             _cfg(**{key: value})
 
+    def test_prior_must_span_four_grid_spacings(self):
+        # a two-point grid cannot resolve a unit-std prior
+        with pytest.raises(ValueError, match=r"^require prior_std >= 4 grid spacings \(80.0\), got 1.0$"):
+            _cfg(grid=FieldGrid(-10.0, 10.0, 2), prior_std=1.0)
+        assert _cfg(prior_std=4.0 * GRID.spacing).prior_std == 4.0 * GRID.spacing
+
     @pytest.mark.parametrize("true_field", [35.0, -20.5, math.nan])
     def test_true_field_must_lie_on_grid(self, true_field):
         with pytest.raises(ValueError, match=rf"true_field {true_field} .*\[-20.0, 20.0\]"):
@@ -343,22 +349,22 @@ class TestRunEnsemble:
         cfg = _cfg("random", n_realizations=1)
         s = run_ensemble(cfg)
         t = run_trial(cfg, 0)
-        np.testing.assert_allclose(s.mean_entropy, [r.posterior_entropy for r in t.records])
-        np.testing.assert_allclose(s.std_entropy, 0.0)
+        np.testing.assert_allclose([r.mean_entropy for r in s], [r.posterior_entropy for r in t.records])
+        np.testing.assert_allclose([r.std_entropy for r in s], 0.0)
 
     def test_reproducible(self):
         cfg = _cfg("random", n_realizations=3)
         a, b = run_ensemble(cfg), run_ensemble(cfg)
-        np.testing.assert_array_equal(a.mean_entropy, b.mean_entropy)
-        np.testing.assert_array_equal(a.std_posterior_std, b.std_posterior_std)
+        np.testing.assert_array_equal([r.mean_entropy for r in a], [r.mean_entropy for r in b])
+        np.testing.assert_array_equal([r.std_posterior_std for r in a], [r.std_posterior_std for r in b])
 
     def test_trial_permutation_invariance(self):
         cfg = _cfg("random", n_realizations=4)
         trajectories = [run_trial(cfg, i) for i in range(4)]
         forward = summarize(trajectories)
         backward = summarize(list(reversed(trajectories)))
-        np.testing.assert_allclose(forward.mean_entropy, backward.mean_entropy)
-        np.testing.assert_allclose(forward.std_entropy, backward.std_entropy)
+        np.testing.assert_allclose([r.mean_entropy for r in forward], [r.mean_entropy for r in backward])
+        np.testing.assert_allclose([r.std_entropy for r in forward], [r.std_entropy for r in backward])
 
     def test_true_fields_match_across_policies(self):
         # same master seed: the first rng draw is b_true for every policy
