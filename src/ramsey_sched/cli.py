@@ -21,7 +21,8 @@ each, ``simulate.SummaryRow`` and ``policies.KpeCheckRow``: the header is
 its field names and a row its fields.  ``main`` writes every file, so no
 file is written until every result is computed.  Every command returns
 at least one CSV, and a failed check still writes its CSVs and manifest
-before exiting 1.
+before exiting 1.  Each file is written new, over whatever held its name
+(``_write_new``).
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure during a run (an outcome with zero evidence; the
@@ -213,11 +214,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_new(path: Path, lines: list[str]) -> None:
+    """Write lines to path as a new file, removing whatever file was there.
+
+    On ext4 a file truncated in place, or renamed over an old one, is
+    written back at once (``auto_da_alloc``), several times the cost of a
+    new file (README).  A symlink or a read-only file in path's place is
+    removed, not followed or refused; a directory there is an OSError, as
+    is a file that reappears between the unlink and the exclusive create.
+    """
+    path.unlink(missing_ok=True)
+    with path.open("x") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_new(path, lines)
 
 
 def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: float) -> None:
@@ -239,7 +254,7 @@ def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: floa
             value = _fmt(value)
         lines.append(f"config.{key} = {value}")
     lines.extend(f"artifact = {name}" for name in artifacts)
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    _write_new(out_dir / "manifest.txt", lines)
 
 
 def _grid(cfg: dict) -> FieldGrid:
@@ -399,8 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, since a build is a tenth of a small compare
+# (README, Performance); parse_args fills a new Namespace on every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = resolve_config(args.command, args.config)
         if args.command == "compare" and args.seed is not None:

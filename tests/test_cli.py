@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -526,6 +527,112 @@ class TestCompare:
         assert (out1 / "compare_random.csv").read_bytes() != (
             out2 / "compare_random.csv"
         ).read_bytes()
+
+
+def _csvs(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
+def _manifest_without_duration(out):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert sum(line.startswith("duration_seconds = ") for line in lines) == 1
+    return [line for line in lines if not line.startswith("duration_seconds = ")]
+
+
+class TestArtifactWrites:
+    """Every artifact is written as a new file over whatever held its name."""
+
+    def _compare(self, tmp_path):
+        return ["compare", "--config", _write(tmp_path, "c.cfg", TestCompare.CFG + "policies = random,kpe\n")]
+
+    def test_rerun_into_one_out_dir(self, tmp_path):
+        for args in (self._compare(tmp_path), ["validate-alpha", "--j-max", "4"]):
+            out = tmp_path / args[0]
+            assert main(args + ["--out", str(out)]) == 0
+            first, manifest = _csvs(out), _manifest_without_duration(out)
+            assert main(args + ["--out", str(out)]) == 0
+            assert _csvs(out) == first
+            assert _manifest_without_duration(out) == manifest
+
+    def test_old_artifact_is_replaced_not_rewritten(self, tmp_path):
+        # a hard link keeps the old file: the rerun leaves it as it was
+        out, keep = tmp_path / "out", tmp_path / "keep.csv"
+        args = self._compare(tmp_path) + ["--out", str(out)]
+        assert main(args + ["--seed", "1"]) == 0
+        old = (out / "compare_random.csv").read_bytes()
+        os.link(out / "compare_random.csv", keep)
+        assert main(args + ["--seed", "2"]) == 0
+        assert keep.read_bytes() == old
+        assert (out / "compare_random.csv").read_bytes() != old
+        assert not os.path.samefile(keep, out / "compare_random.csv")
+
+    def test_symlink_is_replaced_and_its_target_kept(self, tmp_path):
+        args = self._compare(tmp_path)
+        assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+        out, target = tmp_path / "out", tmp_path / "target.txt"
+        out.mkdir()
+        target.write_text("keep\n")
+        for name in ("compare_kpe.csv", "manifest.txt"):
+            (out / name).symlink_to(target)
+        assert main(args + ["--out", str(out)]) == 0
+        assert target.read_text() == "keep\n"
+        for name in ("compare_kpe.csv", "manifest.txt"):
+            assert (out / name).is_file() and not (out / name).is_symlink()
+        assert _csvs(out) == _csvs(tmp_path / "fresh")
+        assert _manifest_without_duration(out) == _manifest_without_duration(tmp_path / "fresh")
+
+    def test_read_only_artifact_is_replaced_with_the_umask_mode(self, tmp_path):
+        args = self._compare(tmp_path)
+        assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("compare_kpe.csv", "manifest.txt"):
+            (out / name).write_text("old\n")
+            (out / name).chmod(0o444)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert main(args + ["--out", str(out)]) == 0
+        for name in ("compare_kpe.csv", "manifest.txt"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask
+        assert _csvs(out) == _csvs(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("name", ["compare_kpe.csv", "manifest.txt"])
+    def test_directory_in_an_artifacts_place_is_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(self._compare(tmp_path) + ["--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert (out / name).is_dir()
+
+
+class TestSharedParser:
+    def test_no_flag_carries_into_the_next_run(self, tmp_path, capsys, monkeypatch):
+        cfg = _write(tmp_path, "c.cfg", TestCompare.CFG + "policies = random\n")
+        runs = [
+            ["compare", "--config", cfg, "--seed", "7"],
+            ["compare", "--config", cfg],
+            ["validate-alpha", "--j-max", "5", "--bogus"],  # argparse rejects it
+            ["validate-alpha", "--j-max", "3"],
+            ["validate-alpha"],
+        ]
+
+        def run(k, out):
+            try:
+                code = main(runs[k] + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            return code, _csvs(out)
+
+        # one process-wide parser, then a new parser and directory per run
+        shared = [run(k, tmp_path / f"shared{k}") for k in range(len(runs))]
+        for k, result in enumerate(shared):
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            assert result == run(k, tmp_path / f"fresh{k}")
+        capsys.readouterr()
+        assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
+        assert shared[0][1] != shared[1][1]  # seed 7 is not master_seed's default
+        alpha_rows = [len(csvs["alpha_validation.csv"].splitlines()) - 1 for _, csvs in shared[3:]]
+        assert alpha_rows == [3, 32]
 
 
 ALPHA_GATE_FAILED = (
