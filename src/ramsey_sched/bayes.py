@@ -14,6 +14,7 @@ exposure/coherence times are the corresponding rescaled quantities.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,16 +157,10 @@ def gaussian_distribution(grid: FieldGrid, mean: float, std: float) -> FieldDist
     return distribution_from_density(grid, np.exp(-0.5 * z * z))
 
 
-def uniform_distribution(
-    grid: FieldGrid, b_lo: float | None = None, b_hi: float | None = None
-) -> FieldDistribution:
-    """Uniform density over [b_lo, b_hi] (the whole grid by default)."""
-    lo = grid.b_min if b_lo is None else b_lo
-    hi = grid.b_max if b_hi is None else b_hi
-    if not grid.b_min <= lo < hi <= grid.b_max:
-        raise ValueError(f"window [{lo}, {hi}] not inside grid")
-    inside = (grid.points >= lo) & (grid.points <= hi)
-    return distribution_from_density(grid, inside.astype(float))
+def uniform_distribution(grid: FieldGrid) -> FieldDistribution:
+    """Uniform density over the whole grid; a narrower window is a
+    :func:`distribution_from_density` of its indicator."""
+    return distribution_from_density(grid, np.ones(grid.n_points))
 
 
 def spike_distribution(grid: FieldGrid, b0: float) -> FieldDistribution:
@@ -347,22 +342,18 @@ def mutual_information_surface(
     return out
 
 
-_FUNCTIONALS = {"entropy": entropy, "variance": variance}
-
-
-def expected_posterior_functional(d: FieldDistribution, p: RamseyParams, g: str) -> float:
+def expected_posterior_functional(
+    d: FieldDistribution, p: RamseyParams, functional: Callable[[FieldDistribution], float]
+) -> float:
     """Outcome-averaged value of a posterior functional.
 
-    ``g`` selects the functional ("entropy" or "variance").  An outcome
-    whose predictive probability is at or below ``ZERO_EVIDENCE_FLOOR``
-    contributes nothing; the two probabilities of a normalised prior sum
-    to 1, so at most one outcome is dropped.  A NaN probability goes on
-    to the update, which raises ValueError.
+    ``functional`` maps a posterior to a float, as :func:`entropy` and
+    :func:`variance` do: the scalar oracles of the two greedy scores.  An
+    outcome whose predictive probability is at or below
+    ``ZERO_EVIDENCE_FLOOR`` contributes nothing; the two probabilities of
+    a normalised prior sum to 1, so at most one outcome is dropped.  A NaN
+    probability goes on to the update, which raises ValueError.
     """
-    try:
-        functional = _FUNCTIONALS[g]
-    except KeyError:
-        raise ValueError(f"unknown functional tag {g!r}; expected one of {sorted(_FUNCTIONALS)}")
     total = 0.0
     for x in (0, 1):
         px = predictive_prob(d, p, x)

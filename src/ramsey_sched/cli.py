@@ -1,17 +1,19 @@
 """Command line interface: config parsing, subcommands, CSV emission.
 
-Configuration files are flat ``key = value`` text ('#' starts a comment).
-Every command runs with an empty (or absent) config.  ``compare``'s keys
-and defaults are the fields of ``SimConfig()``, the standard experiment:
-its grid's fields, its own fields but ``policy`` and ``grid``, and its
-policy's fields but ``kind``, plus ``policies``.  ``mi-surface`` and
-``kpe-check`` take the grid, prior and policy keys they use and override
-some of their defaults.  Artifacts are CSV files with a fixed column
-order and 17-significant-digit floats, so reruns on one machine are
-byte-identical under any BLAS thread count (every grid dot goes through
-``bayes.dot``), though not across CPU kernels, which may round a dot
-differently; each run also writes a manifest echoing the resolved
-configuration and listing every artifact.
+Every command takes exactly ``--config``, a flat ``key = value`` file
+('#' starts a comment), and ``--out``, the output directory; no flag
+overrides a key, so the manifest's ``config.*`` lines are a run's whole
+input.  Every command runs with an empty (or absent) config.
+``compare``'s keys and defaults are the fields of ``SimConfig()``, the
+standard experiment: its grid's fields, its own fields but ``policy``
+and ``grid``, and its policy's fields but ``kind``, plus ``policies``.
+``mi-surface`` and ``kpe-check`` take the grid, prior and policy keys
+they use and override some of their defaults.  Artifacts are CSV files
+with a fixed column order and 17-significant-digit floats, so reruns on
+one machine are byte-identical under any BLAS thread count (every grid
+dot goes through ``bayes.dot``), though not across CPU kernels, which
+may round a dot differently; each run also writes a manifest echoing
+the resolved configuration and listing every artifact.
 
 Each ``cmd_*`` is a function of its resolved config alone.  It returns
 ``(artifacts, failure)``: ``artifacts`` maps each CSV name to
@@ -219,7 +221,7 @@ def _write_new(path: Path, lines: list[str]) -> None:
 
     On ext4 a file truncated in place, or renamed over an old one, is
     written back at once (``auto_da_alloc``), several times the cost of a
-    new file (README).  A symlink or a read-only file in path's place is
+    new file (CHANGES.md).  A symlink or a read-only file in path's place is
     removed, not followed or refused; a directory there is an OSError, as
     is a file that reappears between the unlink and the exclusive create.
     """
@@ -407,15 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
-        if name == "compare":
-            p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        if name == "validate-alpha":
-            p.add_argument("--j-max", type=int, default=None, help="highest coefficient index")
     return parser
 
 
-# Built once per process, since a build is a tenth of a small compare
-# (README, Performance); parse_args fills a new Namespace on every call.
+# Built once per process (a build is a tenth of a small compare; README,
+# Performance); each parse_args call fills a new Namespace of two options.
 _PARSER = build_parser()
 
 
@@ -423,10 +421,6 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         cfg = resolve_config(args.command, args.config)
-        if args.command == "compare" and args.seed is not None:
-            cfg["master_seed"] = args.seed
-        if args.command == "validate-alpha" and args.j_max is not None:
-            cfg["j_max"] = args.j_max
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()

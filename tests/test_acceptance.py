@@ -239,7 +239,7 @@ def test_criterion_6_information_identities():
         assert -1e-10 <= mi <= LN2 + 1e-10
         worst_identity = max(
             worst_identity,
-            abs(mi - (entropy(d) - expected_posterior_functional(d, p, "entropy"))),
+            abs(mi - (entropy(d) - expected_posterior_functional(d, p, entropy))),
         )
         b_probe = float(rng.uniform(-10.0, 10.0))
         assert likelihood(0, b_probe, p) + likelihood(1, b_probe, p) == 1.0

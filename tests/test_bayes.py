@@ -403,12 +403,18 @@ class TestEntropyVariance:
         d = gaussian_distribution(GRID, 0.0, sigma)
         assert entropy(d) == pytest.approx(0.5 * math.log(2 * math.pi * math.e * sigma**2), abs=1e-3)
 
+    @staticmethod
+    def _window(lo, hi):
+        """Uniform density over [lo, hi], zero elsewhere on the grid."""
+        inside = (GRID.points >= lo) & (GRID.points <= hi)
+        return distribution_from_density(GRID, inside.astype(float))
+
     def test_uniform_entropy(self):
-        d = uniform_distribution(GRID, -10.0, 10.0)
+        d = self._window(-10.0, 10.0)
         assert entropy(d) == pytest.approx(math.log(20.0), abs=1e-3)
 
     def test_entropy_with_exact_zeros(self):
-        d = uniform_distribution(GRID, -5.0, 5.0)
+        d = self._window(-5.0, 5.0)
         assert np.isfinite(entropy(d))
 
     def test_spike_variance(self):
@@ -521,31 +527,26 @@ class TestExpectedPosteriorFunctional:
     def test_tau_zero_entropy(self):
         d = gaussian_distribution(GRID, 0.0, 2.0)
         p = RamseyParams(0.0, 0.9)
-        assert expected_posterior_functional(d, p, "entropy") == pytest.approx(entropy(d), abs=1e-10)
+        assert expected_posterior_functional(d, p, entropy) == pytest.approx(entropy(d), abs=1e-10)
 
     def test_tau_zero_variance(self):
         d = gaussian_distribution(GRID, 0.0, 2.0)
         p = RamseyParams(0.0, 0.9)
-        assert expected_posterior_functional(d, p, "variance") == pytest.approx(variance(d), abs=1e-10)
+        assert expected_posterior_functional(d, p, variance) == pytest.approx(variance(d), abs=1e-10)
 
     @given(st.integers(0, 200))
     def test_entropy_identity(self, seed):
         d = _random_mixture(GRID, seed)
         p = _random_params(seed)
-        lhs = expected_posterior_functional(d, p, "entropy")
+        lhs = expected_posterior_functional(d, p, entropy)
         rhs = entropy(d) - mutual_information(d, p)
         assert lhs == pytest.approx(rhs, abs=1e-8)
-
-    def test_unknown_tag(self):
-        d = uniform_distribution(GRID)
-        with pytest.raises(ValueError):
-            expected_posterior_functional(d, RamseyParams(1.0, 0.0), "mode")
 
     def test_one_sided_zero_evidence_is_fine(self):
         # spike where outcome 0 is certain: the impossible branch is skipped
         d = spike_distribution(GRID, 0.0)
         p = RamseyParams(0.0, 0.0)  # likelihood(0) = 1 everywhere
-        assert expected_posterior_functional(d, p, "variance") == pytest.approx(0.0, abs=1e-12)
+        assert expected_posterior_functional(d, p, variance) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInvariants:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import math
@@ -5,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -195,9 +197,9 @@ class TestExitCodes:
         path = _write(
             tmp_path, "c.cfg",
             "policies = myopic_entropy\nn_realizations = 3\nn_measurements = 4\n"
-            "n_points = 1024\ntau_grid_size = 8\ntheta_grid_size = 8\n",
+            "n_points = 1024\ntau_grid_size = 8\ntheta_grid_size = 8\nmaster_seed = 4242\n",
         )
-        assert main(["compare", "--config", path, "--seed", "4242", "--out", str(tmp_path / "clean")]) == 0
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "clean")]) == 0
         # one update per distinct (history, outcome), step by step, each
         # made by the first trial holding it; trial 2 splits off at step 1
         outcomes = [tuple(r.outcome for r in t.records) for t in runs[0]]
@@ -210,7 +212,7 @@ class TestExitCodes:
         calls.clear()
         bad = 7
         out = tmp_path / "out"
-        code = main(["compare", "--config", path, "--seed", "4242", "--out", str(out)])
+        code = main(["compare", "--config", path, "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: trial 2, step 3, master_seed 4242: outcome")
@@ -246,14 +248,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {key}require {named}\n"
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("args, line", [
-        (["--seed", "-1"], ""),
-        ([], "master_seed = -1\n"),
-    ])
-    def test_negative_master_seed_is_2(self, tmp_path, capsys, args, line):
-        path = _write(tmp_path, "c.cfg", line)
+    def test_negative_master_seed_is_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "c.cfg", "master_seed = -1\n")
         out = tmp_path / "out"
-        assert main(["compare", "--config", path, *args, "--out", str(out)]) == 2
+        assert main(["compare", "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: require master_seed >= 0, got -1\n"
         assert not list(out.iterdir())
 
@@ -380,6 +378,40 @@ class TestModuleEntryPoint:
         proc = _python_with_package("-c", "import sys, ramsey_sched.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# The closed-loop API, imported from the top level outside the package.
+TOP_LEVEL = {
+    "FieldGrid", "gaussian_distribution", "bayes_update", "entropy", "variance", "mean",
+    "PolicyConfig", "PolicyState", "next_params", "sample_outcome", "alpha_series_closed",
+}
+
+
+class TestOneWayIn:
+    """Each command's input is its config file; each name has one import path."""
+
+    def test_every_command_takes_only_config_and_out(self):
+        (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["mi-surface", "compare", "validate-alpha", "kpe-check"]
+        for parser in sub.choices.values():
+            options = {s for a in parser._actions for s in a.option_strings}
+            assert options == {"-h", "--help", "--config", "--out"}
+
+    @pytest.mark.parametrize("argv", [["compare", "--seed", "1"], ["validate-alpha", "--j-max", "4"]])
+    def test_a_flag_for_a_config_key_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_top_level_is_the_closed_loop_api(self):
+        public = {n: v for n, v in vars(ramsey_sched).items() if not n.startswith("_")}
+        modules = {n for n, v in public.items() if isinstance(v, types.ModuleType)}
+        assert all(public[n].__name__ == f"ramsey_sched.{n}" for n in modules)
+        assert set(public) - modules == TOP_LEVEL
+        assert "__version__" in vars(ramsey_sched)
 
 
 class TestMiSurface:
@@ -520,13 +552,19 @@ class TestCompare:
             )
 
     def test_seed_flag_changes_output(self, tmp_path):
-        cfg = _write(tmp_path, "c.cfg", self.CFG + "policies = random\n")
+        cfg1 = _write(tmp_path, "c1.cfg", self.CFG + "policies = random\nmaster_seed = 1\n")
+        cfg2 = _write(tmp_path, "c2.cfg", self.CFG + "policies = random\nmaster_seed = 2\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["compare", "--config", cfg, "--out", str(out1), "--seed", "1"]) == 0
-        assert main(["compare", "--config", cfg, "--out", str(out2), "--seed", "2"]) == 0
+        assert main(["compare", "--config", cfg1, "--out", str(out1)]) == 0
+        assert main(["compare", "--config", cfg2, "--out", str(out2)]) == 0
         assert (out1 / "compare_random.csv").read_bytes() != (
             out2 / "compare_random.csv"
         ).read_bytes()
+
+
+def _validate_alpha(tmp_path, j_max):
+    """validate-alpha's argv up to --out, its j_max set by a new config file."""
+    return ["validate-alpha", "--config", _write(tmp_path, f"j{j_max}.cfg", f"j_max = {j_max}\n")]
 
 
 def _csvs(out):
@@ -542,11 +580,12 @@ def _manifest_without_duration(out):
 class TestArtifactWrites:
     """Every artifact is written as a new file over whatever held its name."""
 
-    def _compare(self, tmp_path):
-        return ["compare", "--config", _write(tmp_path, "c.cfg", TestCompare.CFG + "policies = random,kpe\n")]
+    def _compare(self, tmp_path, extra=""):
+        text = TestCompare.CFG + "policies = random,kpe\n" + extra
+        return ["compare", "--config", _write(tmp_path, "c.cfg", text)]
 
     def test_rerun_into_one_out_dir(self, tmp_path):
-        for args in (self._compare(tmp_path), ["validate-alpha", "--j-max", "4"]):
+        for args in (self._compare(tmp_path), _validate_alpha(tmp_path, 4)):
             out = tmp_path / args[0]
             assert main(args + ["--out", str(out)]) == 0
             first, manifest = _csvs(out), _manifest_without_duration(out)
@@ -557,11 +596,10 @@ class TestArtifactWrites:
     def test_old_artifact_is_replaced_not_rewritten(self, tmp_path):
         # a hard link keeps the old file: the rerun leaves it as it was
         out, keep = tmp_path / "out", tmp_path / "keep.csv"
-        args = self._compare(tmp_path) + ["--out", str(out)]
-        assert main(args + ["--seed", "1"]) == 0
+        assert main(self._compare(tmp_path, "master_seed = 1\n") + ["--out", str(out)]) == 0
         old = (out / "compare_random.csv").read_bytes()
         os.link(out / "compare_random.csv", keep)
-        assert main(args + ["--seed", "2"]) == 0
+        assert main(self._compare(tmp_path, "master_seed = 2\n") + ["--out", str(out)]) == 0
         assert keep.read_bytes() == old
         assert (out / "compare_random.csv").read_bytes() != old
         assert not os.path.samefile(keep, out / "compare_random.csv")
@@ -607,12 +645,12 @@ class TestArtifactWrites:
 
 class TestSharedParser:
     def test_no_flag_carries_into_the_next_run(self, tmp_path, capsys, monkeypatch):
-        cfg = _write(tmp_path, "c.cfg", TestCompare.CFG + "policies = random\n")
+        cfg = TestCompare.CFG + "policies = random\n"
         runs = [
-            ["compare", "--config", cfg, "--seed", "7"],
-            ["compare", "--config", cfg],
-            ["validate-alpha", "--j-max", "5", "--bogus"],  # argparse rejects it
-            ["validate-alpha", "--j-max", "3"],
+            ["compare", "--config", _write(tmp_path, "seed7.cfg", cfg + "master_seed = 7\n")],
+            ["compare", "--config", _write(tmp_path, "c.cfg", cfg)],
+            _validate_alpha(tmp_path, 5) + ["--bogus"],  # argparse rejects it
+            _validate_alpha(tmp_path, 3),
             ["validate-alpha"],
         ]
 
@@ -644,7 +682,7 @@ ALPHA_GATE_FAILED = (
 class TestValidateAlpha:
     def test_default_passes(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "12"]) == 0
+        assert main(_validate_alpha(tmp_path, 12) + ["--out", str(out)]) == 0
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert lines[0] == "j,closed_value,quadrature_value,abs_diff"
         assert len(lines) == 1 + 12
@@ -657,7 +695,7 @@ class TestValidateAlpha:
         # from j = 69 on a stop rule on small terms would fire just past
         # the sign change; the series must still sum its positive tail
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "70"]) == 0
+        assert main(_validate_alpha(tmp_path, 70) + ["--out", str(out)]) == 0
         rows = (out / "alpha_validation.csv").read_text().splitlines()[-2:]
         assert [float(r.split(",")[3]) < 1e-9 for r in rows] == [True, True]
 
@@ -668,7 +706,7 @@ class TestValidateAlpha:
         for threads in ("1", "2"):
             out = tmp_path / threads
             proc = _python_with_package(
-                "-m", "ramsey_sched.cli", "validate-alpha", "--j-max", "386", "--out", str(out),
+                "-m", "ramsey_sched.cli", *_validate_alpha(tmp_path, 386), "--out", str(out),
                 OPENBLAS_NUM_THREADS=threads,
             )
             assert proc.returncode == 0, proc.stderr
@@ -687,7 +725,7 @@ class TestValidateAlpha:
 
         monkeypatch.setattr(cli, "alpha_series_closed", must_not_run)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", str(j_max)]) == 2
+        assert main(_validate_alpha(tmp_path, j_max) + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: key 'j_max': require {limit}, got {j_max}\n"
         assert not list(out.iterdir())
 
@@ -697,11 +735,11 @@ class TestValidateAlpha:
 
         def exact(j_max):
             calls.append(j_max)
-            return ramsey_sched.contrast_entropy_series(1.0, j_max)[0]
+            return fourier.contrast_entropy_series(1.0, j_max)[0]
 
         monkeypatch.setattr(cli, "alpha_series_closed", exact)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "386"]) == 0
+        assert main(_validate_alpha(tmp_path, 386) + ["--out", str(out)]) == 0
         assert calls == [386]
         assert len((out / "alpha_validation.csv").read_text().splitlines()) == 1 + 386
 
@@ -715,7 +753,7 @@ class TestValidateAlpha:
 
         monkeypatch.setattr(cli, "alpha_series_quadrature", shifted)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert main(_validate_alpha(tmp_path, 4) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == ALPHA_GATE_FAILED
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
@@ -732,7 +770,7 @@ class TestValidateAlpha:
 
         monkeypatch.setattr(fourier, "_closed_coefficient", positive_at_3)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert main(_validate_alpha(tmp_path, 4) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == ALPHA_GATE_FAILED
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
@@ -749,7 +787,7 @@ class TestValidateAlpha:
 
         monkeypatch.setattr(fourier, "_closed_coefficient", nan_at_3)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "4"]) == 1
+        assert main(_validate_alpha(tmp_path, 4) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == ALPHA_GATE_FAILED
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 4
@@ -767,7 +805,7 @@ class TestValidateAlpha:
 
         monkeypatch.setattr(fourier, "_closed_coefficient", biased)
         out = tmp_path / "out"
-        assert main(["validate-alpha", "--out", str(out), "--j-max", "32"]) == 1
+        assert main(_validate_alpha(tmp_path, 32) + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == ALPHA_GATE_FAILED
         lines = (out / "alpha_validation.csv").read_text().splitlines()
         assert len(lines) == 1 + 32

@@ -18,6 +18,7 @@ from ramsey_sched.bayes import (
     mutual_information,
     spike_distribution,
     uniform_distribution,
+    variance,
 )
 from ramsey_sched.fourier import contrast_entropy_series
 from ramsey_sched.policies import (
@@ -230,16 +231,16 @@ class TestVariancePolicy:
     def test_argmin_dominance_by_rescan(self):
         d = gaussian_distribution(GRID, -0.5, 1.0)
         best = next_params_variance_min(_state(d), SMALL_CFG)
-        best_ev = expected_posterior_functional(d, best, "variance")
+        best_ev = expected_posterior_functional(d, best, variance)
         for tau in tau_search_grid(SMALL_CFG):
             for theta in theta_search_grid(SMALL_CFG):
                 cell = RamseyParams(float(tau), float(theta), SMALL_CFG.coherence_time)
-                assert expected_posterior_functional(d, cell, "variance") >= best_ev - 1e-9
+                assert expected_posterior_functional(d, cell, variance) >= best_ev - 1e-9
 
     def test_beats_random_cells(self):
         d = gaussian_distribution(GRID, 0.0, 1.2)
         best = next_params_variance_min(_state(d), SMALL_CFG)
-        best_ev = expected_posterior_functional(d, best, "variance")
+        best_ev = expected_posterior_functional(d, best, variance)
         taus = tau_search_grid(SMALL_CFG)
         thetas = theta_search_grid(SMALL_CFG)
         rng = np.random.default_rng(31)
@@ -249,7 +250,7 @@ class TestVariancePolicy:
                 float(rng.choice(thetas)),
                 SMALL_CFG.coherence_time,
             )
-            assert best_ev <= expected_posterior_functional(d, cell, "variance") + 1e-9
+            assert best_ev <= expected_posterior_functional(d, cell, variance) + 1e-9
 
     def test_spike_posterior_ties_break_to_smallest_cell(self):
         d = spike_distribution(GRID, 0.3)
@@ -314,7 +315,7 @@ class TestDispatch:
 
 
 def _expected_variance(d, p):
-    return expected_posterior_functional(d, p, "variance")
+    return expected_posterior_functional(d, p, variance)
 
 
 # (matrix kernel, its scalar oracle, the policy built on it, sign that
