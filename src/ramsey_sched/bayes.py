@@ -163,14 +163,6 @@ def uniform_distribution(grid: FieldGrid) -> FieldDistribution:
     return distribution_from_density(grid, np.ones(grid.n_points))
 
 
-def spike_distribution(grid: FieldGrid, b0: float) -> FieldDistribution:
-    """All probability mass on the grid point nearest b0."""
-    idx = int(np.argmin(np.abs(grid.points - b0)))
-    dens = np.zeros(grid.n_points)
-    dens[idx] = 1.0 / grid.trapz_weights[idx]
-    return FieldDistribution(grid, dens)
-
-
 @dataclass(frozen=True)
 class RamseyParams:
     """Controls and constants of one Ramsey measurement.

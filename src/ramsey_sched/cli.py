@@ -84,8 +84,12 @@ def _parse_int(key, raw):
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
 
 
+# true_field's value when each trial samples its own, None in SimConfig
+_SAMPLE = "sample"
+
+
 def _parse_field(key, raw):
-    if raw.strip().lower() == "sample":
+    if raw.strip().lower() == _SAMPLE:
         return None
     return _parse_float(key, raw)
 
@@ -211,8 +215,15 @@ def resolve_config(command: str, config_path: str | None) -> dict:
 
 
 def _fmt(value) -> str:
+    """A CSV cell or config value as text its parser reads back: a float
+    to 17 significant digits, a list as its items joined by ',', and
+    true_field's None as ``sample``."""
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, list):
+        return ",".join(map(_fmt, value))
+    if value is None:
+        return _SAMPLE
     return str(value)
 
 
@@ -231,10 +242,7 @@ def _write_new(path: Path, lines: list[str]) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_new(path, lines)
+    _write_new(path, [",".join(header)] + [",".join(map(_fmt, row)) for row in rows])
 
 
 def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: float) -> None:
@@ -246,15 +254,7 @@ def _write_run(out_dir: Path, command: str, cfg: dict, artifacts: dict, t0: floa
         f"version = {__version__}",
         f"duration_seconds = {_fmt(time.perf_counter() - t0)}",
     ]
-    for key in sorted(cfg):
-        value = cfg[key]
-        if isinstance(value, list):
-            value = ",".join(_fmt(v) for v in value)
-        elif value is None:
-            value = "sample"  # true_field, the one None default
-        else:
-            value = _fmt(value)
-        lines.append(f"config.{key} = {value}")
+    lines.extend(f"config.{key} = {_fmt(cfg[key])}" for key in sorted(cfg))
     lines.extend(f"artifact = {name}" for name in artifacts)
     _write_new(out_dir / "manifest.txt", lines)
 
@@ -356,7 +356,9 @@ def _kpe_outcome_limit(cfg: dict) -> int:
     kpe_tau0 / 2^(s-1) is at least tau_min and the window holds a whole
     number >= 1 of its fringe periods pi / tau; past that the grid no
     longer resolves the reduction claim.  A step that fails fails for
-    every later one, since tau only halves.
+    every later one, since tau only halves.  The bound from above,
+    kpe_tau0 / 2 <= tau_max, is ``cmd_kpe_check``'s config error, since
+    the search grid would clamp a larger tau onto its top cell.
     """
     window = cfg["b_max"] - cfg["b_min"]
     limit = 0
@@ -374,6 +376,10 @@ def cmd_kpe_check(cfg: dict) -> tuple[dict, str | None]:
     """Halving-schedule vs myopic argmax along a scripted trajectory."""
     policy, grid = _policy_config(cfg, "myopic_entropy"), _grid(cfg)
     _check_phases(grid, tau_max=policy.tau_max, kpe_tau0=policy.kpe_tau0)
+    if 0.5 * policy.kpe_tau0 > policy.tau_max:
+        raise ConfigError(
+            f"key 'kpe_tau0': require kpe_tau0 / 2 <= tau_max = {policy.tau_max}, got {policy.kpe_tau0}"
+        )
     limit = _kpe_outcome_limit(cfg)
     if len(cfg["outcomes"]) > limit:
         raise ConfigError(

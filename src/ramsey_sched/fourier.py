@@ -186,7 +186,10 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
     independent oracle for :func:`alpha_series_closed`.  The integrand is
     periodic, so the composite rule converges like the decay of the
     profile's own coefficients; the default 2**14 panels give better
-    than 1e-12.
+    than 1e-12.  Each basis row cos(2 j x) is formed just before its dot,
+    so memory stays at a few rows whatever j_max; doubling is exact, so
+    (2 j) x rounds as 2 (j x) does and a row equals the matching row of
+    ``np.cos(2 * np.outer(j, x))``, bit for bit.
     """
     if j_max < 0:
         raise ValueError(f"require j_max >= 0, got {j_max}")
@@ -196,12 +199,9 @@ def alpha_series_quadrature(j_max: int, n_panels: int = 2**14) -> np.ndarray:
     h = binary_entropy(0.5 * (1.0 + np.cos(x)))
     coeffs = np.empty(j_max + 1)
     coeffs[0] = float(np.mean(h))
-    # the basis cos(2 j x), built in place in one buffer; doubling is
-    # exact, so (2 j) x rounds as 2 (j x) does
-    basis = np.multiply.outer(2.0 * np.arange(1, j_max + 1), x)
-    np.cos(basis, out=basis)
-    # one bayes.dot per row, so the bits do not depend on the BLAS thread count
-    coeffs[1:] = [2.0 * dot(row, h) / n_panels for row in basis]
+    # one bayes.dot per basis row cos(2 j x), so the bits do not depend on
+    # the BLAS thread count
+    coeffs[1:] = [2.0 * dot(np.cos((2.0 * j) * x), h) / n_panels for j in range(1, j_max + 1)]
     coeffs.flags.writeable = False
     return coeffs
 

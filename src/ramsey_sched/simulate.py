@@ -135,9 +135,9 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step records of one simulated measurement sequence."""
+    """Per-step records of one simulated measurement sequence, trial
+    trial_index of its SimConfig (which holds the master_seed)."""
 
-    master_seed: int
     trial_index: int
     b_true: float
     records: tuple[StepRecord, ...]
@@ -240,10 +240,7 @@ def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
             at[r] = child
             records[r].append(made[child])
         level = next_level
-    return [
-        Trajectory(cfg.master_seed, i, b_true, tuple(recs))
-        for i, b_true, recs in zip(indices, b_trues, records)
-    ]
+    return [Trajectory(i, b_true, tuple(recs)) for i, b_true, recs in zip(indices, b_trues, records)]
 
 
 def run_trial(cfg: SimConfig, trial_index: int) -> Trajectory:

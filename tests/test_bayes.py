@@ -29,7 +29,6 @@ from ramsey_sched.bayes import (
     mutual_information,
     mutual_information_surface,
     predictive_prob,
-    spike_distribution,
     uniform_distribution,
     variance,
     xlogx,
@@ -43,6 +42,11 @@ GRID = FieldGrid(-20.0, 20.0, 2**14)
 # Exact-period window for the wide-uniform checks: 16 pi holds a whole
 # number of fringes for every tau that is a multiple of 1/8.
 PERIODIC_GRID = FieldGrid(-8.0 * math.pi, 8.0 * math.pi, 2**14)
+
+
+def _spike(grid: FieldGrid, b0: float) -> FieldDistribution:
+    """All probability mass on the grid point nearest b0: a one-hot density, normalized."""
+    return distribution_from_density(grid, np.arange(grid.n_points) == np.argmin(np.abs(grid.points - b0)))
 
 
 def _random_mixture(grid: FieldGrid, seed: int) -> FieldDistribution:
@@ -222,7 +226,7 @@ class TestRamseyParams:
 
 class TestPredictiveProb:
     def test_spike_sifts_likelihood(self):
-        d = spike_distribution(GRID, 2.0)
+        d = _spike(GRID, 2.0)
         p = RamseyParams(1.3, 0.7, 6.0)
         b_star = GRID.points[int(np.argmin(np.abs(GRID.points - 2.0)))]
         assert predictive_prob(d, p, 0) == pytest.approx(likelihood(0, b_star, p), abs=1e-12)
@@ -284,7 +288,7 @@ class TestBayesUpdate:
 
     def test_zero_evidence_raises(self):
         grid = FieldGrid(-20.0, 20.0, 2**14 + 1)  # odd count puts 0 on the grid
-        d = spike_distribution(grid, 0.0)
+        d = _spike(grid, 0.0)
         # outcome 0 impossible exactly at b = 0 for tau=1, theta=pi, T=inf
         p = RamseyParams(1.0, math.pi)
         with pytest.raises(ZeroEvidence):
@@ -294,7 +298,7 @@ class TestBayesUpdate:
         # the spike of test_zero_evidence_raises plus a 1e-300 tail at the
         # grid edge, where outcome 0 is possible: finite evidence, > 0, <= floor
         grid = FieldGrid(-20.0, 20.0, 2**14 + 1)
-        dens = spike_distribution(grid, 0.0).density.copy()
+        dens = _spike(grid, 0.0).density.copy()
         dens[0] = 1e-300
         d = FieldDistribution(grid, dens)
         p = RamseyParams(1.0, math.pi)
@@ -418,7 +422,7 @@ class TestEntropyVariance:
         assert np.isfinite(entropy(d))
 
     def test_spike_variance(self):
-        d = spike_distribution(GRID, 1.0)
+        d = _spike(GRID, 1.0)
         assert variance(d) <= GRID.spacing**2
 
     def test_gaussian_variance(self):
@@ -544,7 +548,7 @@ class TestExpectedPosteriorFunctional:
 
     def test_one_sided_zero_evidence_is_fine(self):
         # spike where outcome 0 is certain: the impossible branch is skipped
-        d = spike_distribution(GRID, 0.0)
+        d = _spike(GRID, 0.0)
         p = RamseyParams(0.0, 0.0)  # likelihood(0) = 1 everywhere
         assert expected_posterior_functional(d, p, variance) == pytest.approx(0.0, abs=1e-12)
 

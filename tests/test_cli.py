@@ -643,6 +643,37 @@ class TestArtifactWrites:
         assert (out / name).is_dir()
 
 
+class TestManifestReplay:
+    """A manifest's config.* lines are its run's whole input: fed back as
+    --config, they give the same CSVs and the same manifest."""
+
+    GRID = "n_points = 1024\ntau_grid_size = 8\ntheta_grid_size = 9\n"
+    RUNS = {
+        "compare": (
+            "compare",
+            GRID + "n_measurements = 3\nn_realizations = 2\npolicies = myopic_entropy,random\n"
+            "coherence_time = inf\ntrue_field = 0.25\n",
+        ),
+        "compare-sample": ("compare", GRID + "n_measurements = 3\nn_realizations = 2\n"),
+        "mi-surface": ("mi-surface", "n_points = 1024\ntau_grid_size = 5\ncoherence_times = 0.3,2,inf\ntheta = 7.5\n"),
+        "validate-alpha": ("validate-alpha", "j_max = 7\n"),
+        "kpe-check": ("kpe-check", "theta_grid_size = 33\noutcomes = 0,1,0\ncoherence_time = inf\n"),
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_config_lines_replay(self, tmp_path, run):
+        command, text = self.RUNS[run]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--config", _write(tmp_path, "c.cfg", text), "--out", str(first)]) == 0
+        manifest = _manifest_without_duration(first)
+        replay = "".join(line.removeprefix("config.") + "\n" for line in manifest if line.startswith("config."))
+        assert main([command, "--config", _write(tmp_path, "replay.cfg", replay), "--out", str(again)]) == 0
+        assert _csvs(again) == _csvs(first)
+        assert _manifest_without_duration(again) == manifest
+        if run == "compare-sample":
+            assert "config.true_field = sample" in manifest
+
+
 class TestSharedParser:
     def test_no_flag_carries_into_the_next_run(self, tmp_path, capsys, monkeypatch):
         cfg = TestCompare.CFG + "policies = random\n"
@@ -843,6 +874,20 @@ class TestKpeCheck:
         assert main(["kpe-check", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: key 'outcomes': require at most 6 outcomes, got 7"
+        )
+        assert not list(out.iterdir())
+
+    def test_first_halving_tau_above_tau_max_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # tau 8 would be judged from the search grid's top cell, tau_max = 4
+        def must_not_run(*args):
+            raise AssertionError("the trajectory ran with a tau above the search grid")
+
+        monkeypatch.setattr(cli, "compare_kpe_to_myopic", must_not_run)
+        cfg = _write(tmp_path, "k.cfg", "kpe_tau0 = 16\n")
+        out = tmp_path / "out"
+        assert main(["kpe-check", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: key 'kpe_tau0': require kpe_tau0 / 2 <= tau_max = 4.0, got 16.0\n"
         )
         assert not list(out.iterdir())
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,13 +265,23 @@ class TestAlphaSeries:
 
     @pytest.mark.parametrize("j_max", [1, 32, ALPHA_J_LIMIT])
     def test_quadrature_equals_the_outer_product_formula(self, j_max):
-        # the in-place basis against the basis built from np.outer, bit for bit
+        # the per-row basis against the basis built from np.outer, bit for bit
         n = 2**14
         x = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
         h = binary_entropy(0.5 * (1.0 + np.cos(x)))
         j = np.arange(1, j_max + 1)
         expect = [2.0 * dot(row, h) / n for row in np.cos(2.0 * np.outer(j, x))]
         assert alpha_series_quadrature(j_max)[1:].tolist() == expect
+
+    def test_quadrature_forms_no_basis_block(self):
+        # a (386, 2**14) basis block would be 48 MiB; one row is 128 KiB
+        tracemalloc.start()
+        try:
+            alpha_series_quadrature(ALPHA_J_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_sine_component_vanishes(self):
         # even symmetry: replacing cos(2jx) by sin(2jx) integrates to zero

@@ -12,11 +12,11 @@ from ramsey_sched.bayes import (
     FieldGrid,
     RamseyParams,
     bayes_update,
+    distribution_from_density,
     expected_posterior_functional,
     gaussian_distribution,
     likelihood,
     mutual_information,
-    spike_distribution,
     uniform_distribution,
     variance,
 )
@@ -64,6 +64,11 @@ SMALL_CFG = PolicyConfig(
 
 def _state(dist, history=()):
     return PolicyState(dist, tuple(history), len(history))
+
+
+def _spike(grid: FieldGrid, b0: float) -> FieldDistribution:
+    """All probability mass on the grid point nearest b0: a one-hot density, normalized."""
+    return distribution_from_density(grid, np.arange(grid.n_points) == np.argmin(np.abs(grid.points - b0)))
 
 
 class TestPolicyConfig:
@@ -253,7 +258,7 @@ class TestVariancePolicy:
             assert best_ev <= expected_posterior_functional(d, cell, variance) + 1e-9
 
     def test_spike_posterior_ties_break_to_smallest_cell(self):
-        d = spike_distribution(GRID, 0.3)
+        d = _spike(GRID, 0.3)
         p = next_params_variance_min(_state(d), SMALL_CFG)
         assert p.tau == pytest.approx(SMALL_CFG.tau_min)
         assert p.theta == 0.0
@@ -366,7 +371,7 @@ def _rounding_case():
     phase = 2.0 * cfg.tau_min * grid.points
     term = np.cos(thetas)[:, None] * np.cos(phase) - np.sin(thetas)[:, None] * np.sin(phase)
     j, k = np.argwhere(term < -1.0)[0]
-    return grid, cfg, j, spike_distribution(grid, float(grid.points[k]))
+    return grid, cfg, j, _spike(grid, float(grid.points[k]))
 
 
 def _distinct_posteriors(grid, coherence_time):
@@ -662,7 +667,7 @@ class TestBoundPrunedChoice:
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
             theta_grid_size=theta_grid_size, coherence_time=coherence_time,
         )
-        spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 5)]
+        spikes = [_spike(GRID, b) for b in np.linspace(-19.0, 19.0, 5)]
         two_points = [_two_point_posterior(GRID, b, b + math.pi / 4.0) for b in (-3.0, 0.0, 1.7)]
         deep = list(_myopic_trajectory(GRID, replace(cfg, theta_grid_size=16), 3, 30))[4::5]
         ds = (_random_posteriors(GRID, coherence_time, 13, 6) + spikes + two_points + deep
@@ -699,7 +704,7 @@ class TestBoundPrunedChoice:
             theta_grid_size=theta_grid_size, coherence_time=coherence_time,
         )
         grid, _, _, spike = _rounding_case()
-        ds = [spike] + [spike_distribution(grid, b) for b in (-7.3, 0.0, 2.0, 11.1)]
+        ds = [spike] + [_spike(grid, b) for b in (-7.3, 0.0, 2.0, 11.1)]
         ds += [
             _two_point_posterior(grid, b, b + gap)
             for b in (-3.0, 0.0, 1.7)
@@ -736,7 +741,7 @@ class TestFourierScreen:
             tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=16,
             theta_grid_size=theta_grid_size, coherence_time=coherence_time,
         )
-        spikes = [spike_distribution(GRID, b) for b in np.linspace(-19.0, 19.0, 13)]
+        spikes = [_spike(GRID, b) for b in np.linspace(-19.0, 19.0, 13)]
         two_points = [_two_point_posterior(GRID, b, b + math.pi / 4.0) for b in (-3.0, 0.0, 1.7)]
         deep = list(_myopic_trajectory(GRID, replace(cfg, theta_grid_size=16), 3, 30))[9::10]
         ds = (_random_posteriors(GRID, coherence_time, 11, 6) + spikes + two_points + deep
@@ -947,7 +952,7 @@ class TestVarianceBatchKernel:
             kind="variance_min", tau_min=5.0 / 512.0, tau_max=5.0, tau_grid_size=32,
             theta_grid_size=theta_grid_size, coherence_time=10.0,
         )
-        ds = _random_posteriors(grid, 10.0, 23, count - 1) + [spike_distribution(grid, 0.3)]
+        ds = _random_posteriors(grid, 10.0, 23, count - 1) + [_spike(grid, 0.3)]
         got = _expected_variance_matrix(ds, cfg)
         assert got.shape == (count, cfg.tau_grid_size, policies._scored_theta_count(cfg))
         # as in test_variance_choice_equals_per_tau_kernel
