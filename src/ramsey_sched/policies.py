@@ -530,12 +530,17 @@ def theta_cells_apart(cfg: PolicyConfig, theta_a: float, theta_b: float) -> int:
     """Cells between two thetas on the circular grid, folded modulo pi.
 
     theta and theta + pi are the same measurement with its outcomes
-    relabelled, so on an even grid they are 0 cells apart; an odd grid
-    holds no theta + pi cells and keeps the distance around the circle.
+    relabelled, so the distance is to the nearer of theta_b and
+    theta_b + pi.  On a grid of K cells, theta_b + pi lies K/2 cells
+    around the circle: on a cell of an even grid (0 cells apart) and
+    midway between two cells of an odd one, so there a circle distance d
+    also counts as ceil(|d - K/2|), 1 for the cells next to theta_b + pi.
     """
-    k = _scored_theta_count(cfg)
+    k = cfg.theta_grid_size
     d = abs(theta_cell_index(cfg, theta_a) - theta_cell_index(cfg, theta_b)) % k
-    return min(d, k - d)
+    d = min(d, k - d)
+    # ceil(|d - K/2|) in integers
+    return min(d, (abs(2 * d - k) + 1) // 2)
 
 
 @dataclass(frozen=True)

@@ -18,24 +18,29 @@ to every trial at that node.  ``policies.myopic_choices`` scores the
 posteriors against one shared entropy block per tau (for the taus that
 the Fourier screen does not rule out for some posterior), and
 ``policies.variance_choices`` with one stacked product with the harmonic
-table.  The blind kinds share no scoring work and run one trial per
-call, each step asking ``policies.next_params`` of the trial's node: in
-lockstep a level would hold a posterior per trial, since random trials
-never share a child.
+table.  The blind kinds share no scoring work: each trial runs alone,
+through ``run_trial``, each step asking ``policies.next_params`` of the
+trial's node (in lockstep a level would hold a posterior per trial,
+since random trials never share a child), and the trials of a call run
+on a thread pool of one worker per usable CPU.  numpy releases the GIL
+in the grid kernels that dominate a blind step, so the workers overlap.
 Each trial draws from its own stream, derived from (master_seed,
 trial_index), in a fixed order (true field, the policy's draws, the
 outcome), so a trajectory is bit-identical whether its trial runs alone
-or beside others, and an ensemble is a function of its configuration
-alone, insensitive to execution order.  Every grid dot goes through
-``bayes.dot``, whose BLAS calls each run on one thread, so the bits do
-not depend on the BLAS thread count either.  They can still differ
-between machines whose BLAS picks another CPU kernel (AVX-512 against
-AVX2, say), which may round a dot differently.
+or beside others, on whichever thread, and an ensemble is a function of
+its configuration alone, insensitive to execution order and to the CPU
+count.  Every grid dot goes through ``bayes.dot``, whose BLAS calls each
+run on one thread, so the bits do not depend on the BLAS thread count
+either.  They can still differ between machines whose BLAS picks another
+CPU kernel (AVX-512 against AVX2, say), which may round a dot
+differently.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -170,21 +175,56 @@ def run_trials(cfg: SimConfig, trial_indices: Iterable[int]) -> list[Trajectory]
     Greedy trials advance in lockstep, so each step's ``myopic_choices``
     or ``variance_choices`` call scores every distinct posterior at once,
     and trials that share a history share its update; the blind kinds
-    run one trial per call through ``run_trial``, which holds one
-    posterior at a time.  ``_run_lockstep`` is correct for any kind and
-    grouping, so a trial's trajectory does not depend on which other
-    trials run beside it.
+    run each trial alone through ``run_trial``, which holds one posterior
+    at a time, on a thread pool (``_run_pooled``).  ``_run_lockstep`` is
+    correct for any kind and grouping, so a trial's trajectory does not
+    depend on which other trials run beside it, nor on which thread.
 
     Raises:
         ZeroEvidence: an outcome had (numerically) zero probability; the
             message names the trial, the step and the master seed.  When
             greedy trials share the failing history, the trial named is
-            the first of them in ``trial_indices``.
+            the first of them in ``trial_indices``; when blind trials
+            fail, it is the first failing trial in ``trial_indices``, as
+            if they ran one after another.
     """
     indices = [int(i) for i in trial_indices]
     if cfg.policy.kind in ("myopic_entropy", "variance_min"):
         return _run_lockstep(cfg, indices)
-    return [run_trial(cfg, i) for i in indices]
+    return _run_pooled(cfg, indices)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has
+    one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_pooled(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:
+    """``run_trial`` of each index on min(len(indices), usable CPUs)
+    threads, results in index order.
+
+    Each task runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in the trials.  The first failure in index
+    order cancels the trials that have not started and is re-raised once
+    the running ones finish; no worker outlives the call.
+    """
+    if not indices:
+        return []
+    # imported here: concurrent.futures imports logging, which a run of
+    # the greedy kinds alone never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(len(indices), _usable_cpus())) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run_trial, cfg, i) for i in indices]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _run_lockstep(cfg: SimConfig, indices: list[int]) -> list[Trajectory]:

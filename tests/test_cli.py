@@ -367,6 +367,15 @@ def _python_with_package(*args, **env):
     )
 
 
+# `python -c PINNED_TO_ONE_CPU <command> ...` runs the CLI on one of this
+# process's CPUs.
+PINNED_TO_ONE_CPU = (
+    "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))});"
+    " assert len(os.sched_getaffinity(0)) == 1;"
+    " from ramsey_sched.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self):
         proc = _python_with_package("-m", "ramsey_sched.cli", "--version")
@@ -521,26 +530,29 @@ class TestCompare:
             for name in csvs:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize("lines", [
-        "policies = random,kpe\nn_realizations = 2\nn_measurements = 5\n",
-        "policies = myopic_entropy,variance_min\nn_realizations = 4\nn_measurements = 8\n"
-        "tau_grid_size = 16\ntheta_grid_size = 16\n",
+    @pytest.mark.parametrize("lines, pinned", [
+        ("policies = random,kpe\nn_realizations = 2\nn_measurements = 5\n", True),
+        ("policies = myopic_entropy,variance_min\nn_realizations = 4\nn_measurements = 8\n"
+         "tau_grid_size = 16\ntheta_grid_size = 16\n", False),
     ], ids=["blind", "greedy"])
-    def test_byte_identical_under_one_and_two_blas_threads(self, tmp_path, lines):
+    def test_byte_identical_under_one_and_two_blas_threads(self, tmp_path, lines, pinned):
         # OpenBLAS splits a dot of more than 10000 points across its
-        # threads; at N = 2^14 every grid dot runs as 8192-point chunks
+        # threads; at N = 2^14 every grid dot runs as 8192-point chunks.
+        # Blind trials run on one worker per usable CPU, so a third child,
+        # pinned to one CPU, runs them on one worker
         cfg = _write(tmp_path, "c.cfg", lines + "n_points = 16384\n")
+        args = ["compare", "--config", cfg, "--out"]
+        runs = [("1", ["-m", "ramsey_sched.cli"]), ("2", ["-m", "ramsey_sched.cli"])]
+        if pinned:
+            runs.append(("2", ["-c", PINNED_TO_ONE_CPU]))
         csvs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            proc = _python_with_package(
-                "-m", "ramsey_sched.cli", "compare", "--config", cfg, "--out", str(out),
-                OPENBLAS_NUM_THREADS=threads,
-            )
+        for i, (threads, entry) in enumerate(runs):
+            out = tmp_path / str(i)
+            proc = _python_with_package(*entry, *args, str(out), OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             csvs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
         assert len(csvs[0]) == 2
-        assert csvs[0] == csvs[1]
+        assert all(c == csvs[0] for c in csvs[1:])
 
     def test_zero_measurements_write_header_only_csvs(self, tmp_path):
         cfg = _write(tmp_path, "c.cfg", self.CFG.replace("n_measurements = 4", "n_measurements = 0"))
@@ -863,6 +875,23 @@ class TestKpeCheck:
             artifacts, failure = cli.cmd_kpe_check({**cfg, "outcomes": list(outcomes)})
             assert failure is None, outcomes
             assert [r[0] for r in artifacts["kpe_check.csv"][1]] == [2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("lines", [
+        "theta_grid_size = 65\noutcomes = 1,1,1\n",
+        "theta_grid_size = 9\noutcomes = 1,0,0\n",
+    ], ids=["65", "9"])
+    def test_odd_theta_grid_folds_theta_plus_pi(self, tmp_path, lines):
+        # on these odd grids the myopic theta is the cell nearest the
+        # halving theta + pi, the same measurement with its outcomes
+        # relabelled: at most one cell apart, not half the circle
+        cfg = _write(tmp_path, "k.cfg", lines)
+        out = tmp_path / "out"
+        assert main(["kpe-check", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "kpe_check.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3 and all(int(r[6]) <= 1 for r in rows)
+        # and some step is so folded: its thetas lie over a radian apart
+        gaps = [abs(float(r[2]) - float(r[4])) % (2 * math.pi) for r in rows]
+        assert any(min(g, 2 * math.pi - g) > 1.0 for g in gaps)
 
     def test_seven_outcomes_are_a_config_error(self, tmp_path, capsys, monkeypatch):
         def must_not_run(*args):

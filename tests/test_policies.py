@@ -1167,9 +1167,13 @@ class TestKpeMyopicComparison:
         assert theta_cells_apart(cfg, 0.0, 48 * step) == 16
 
     def test_theta_delta_on_an_odd_grid_goes_around_the_circle(self):
+        # an odd grid holds no theta + pi cell: theta + pi lies midway
+        # between two cells, each one cell from it, so a circle distance d
+        # also counts as ceil(|d - 4.5|)
         cfg = PolicyConfig(theta_grid_size=9)
         thetas = theta_search_grid(cfg)
+        assert [theta_cells_apart(cfg, 0.0, t) for t in thetas] == [0, 1, 2, 2, 1, 1, 2, 2, 1]
         for i in range(9):
             for j in range(9):
-                d = abs(i - j)
-                assert theta_cells_apart(cfg, thetas[i], thetas[j]) == min(d, 9 - d)
+                d = min(abs(i - j), 9 - abs(i - j))
+                assert theta_cells_apart(cfg, thetas[i], thetas[j]) == min(d, math.ceil(abs(d - 4.5)))

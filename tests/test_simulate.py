@@ -1,4 +1,8 @@
+import collections
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -58,9 +62,10 @@ def _prefixes(trajectories, length):
 
 def _update_order(kind, trajectories):
     """(trial, step) that each bayes_update call of a run_trials call
-    belongs to, in call order.  Greedy trials share a history's update,
-    made by the first trial in run order that reaches it, step by step;
-    the other kinds update trial by trial."""
+    belongs to.  Greedy trials share a history's update, made by the
+    first trial in run order that reaches it, step by step, and this is
+    their call order; the other kinds update trial by trial, each trial's
+    calls in step order."""
     if kind not in ("myopic_entropy", "variance_min"):
         return [(t.trial_index, r.step) for t in trajectories for r in t.records]
     outcomes = [tuple(r.outcome for r in t.records) for t in trajectories]
@@ -69,6 +74,23 @@ def _update_order(kind, trajectories):
         for step in range(1, len(outcomes[0]) + 1)
         for prefix in dict.fromkeys(o[:step] for o in outcomes)
     ]
+
+
+def _tag_trials(monkeypatch):
+    """Wrap ``simulate.run_trial`` so that the thread running a trial knows
+    which one it is: returns the thread-local tag, whose ``trial`` is set
+    while a blind trial runs and absent in lockstep runs."""
+    tag, real = threading.local(), simulate.run_trial
+
+    def tagged(cfg, i):
+        tag.trial = i
+        try:
+            return real(cfg, i)
+        finally:
+            del tag.trial
+
+    monkeypatch.setattr(simulate, "run_trial", tagged)
+    return tag
 
 
 class TestSimConfig:
@@ -258,29 +280,38 @@ class TestRunTrials:
     def test_zero_evidence_names_trial_step_and_seed(self, kind, monkeypatch):
         # greedy trials share the update of a shared history, and the
         # first trial to reach it (the lowest index here) is named; the
-        # other kinds run trial by trial (update k is trial k // 4 at
-        # step k % 4 + 1).  A failure injected at each update in turn
-        # names that update's trial and step.
+        # other kinds run trial by trial on worker threads, so an update
+        # is keyed on its trial's tag and that trial's own call count (the
+        # k-th update of a trial is its step k).  A failure injected at
+        # each update in turn names that update's trial and step.
         cfg = _cfg(kind, n_measurements=4)
         real = simulate.bayes_update
         order = _update_order(kind, run_trials(cfg, range(3)))
         assert len(order) == len(set(order)) and len(order) <= 3 * 4
+        tag, lock = _tag_trials(monkeypatch), threading.Lock()
 
         def failing_at(bad, calls):
+            # calls counts the updates of each trial (None: the lockstep
+            # run, whose updates are in the order above)
             def flaky(d, p, x):
-                calls.append(None)
-                if len(calls) - 1 == bad:
+                trial = getattr(tag, "trial", None)
+                with lock:
+                    calls[trial] += 1
+                    count = calls[trial]
+                if (order[count - 1] if trial is None else (trial, count)) == bad:
                     raise ZeroEvidence("injected")
                 return real(d, p, x)
 
             return flaky
 
-        calls = []
-        monkeypatch.setattr(simulate, "bayes_update", failing_at(-1, calls))
+        calls = collections.Counter()
+        monkeypatch.setattr(simulate, "bayes_update", failing_at(None, calls))
         run_trials(cfg, range(3))
-        assert len(calls) == len(order)
-        for bad, (trial, step) in enumerate(order):
-            monkeypatch.setattr(simulate, "bayes_update", failing_at(bad, []))
+        assert sum(calls.values()) == len(order)
+        if kind != "myopic_entropy":
+            assert calls == {0: 4, 1: 4, 2: 4}
+        for trial, step in order:
+            monkeypatch.setattr(simulate, "bayes_update", failing_at((trial, step), collections.Counter()))
             with pytest.raises(ZeroEvidence, match=rf"trial {trial}, step {step}, master_seed 99: injected$") as info:
                 run_trials(cfg, range(3))
             assert str(info.value.__cause__) == "injected"
@@ -299,18 +330,149 @@ class TestRunTrials:
         (RamseyParams(1e308, 0.3), ValueError, r"^outcome 1 has non-finite predictive probability nan$"),
     ])
     def test_real_update_failure_reaches_the_caller(self, bad, error, message, monkeypatch):
-        # kpe trials run one by one, 4 steps each: call 7 is trial 1, step 3
-        real_next, real_sample, calls = simulate.next_params, simulate.sample_outcome, []
+        # kpe trials run one by one, 4 steps each, on worker threads: the
+        # bad controls go to trial 1 at step 3, its third call
+        real_next, real_sample = simulate.next_params, simulate.sample_outcome
+        tag, calls, lock = _tag_trials(monkeypatch), collections.Counter(), threading.Lock()
 
         def next_params(state, policy, rng):
-            calls.append(None)
-            return bad if len(calls) == 7 else real_next(state, policy, rng)
+            with lock:
+                calls[tag.trial] += 1
+            if (tag.trial, state.step_index + 1) == (1, 3):
+                return bad
+            return real_next(state, policy, rng)
 
         monkeypatch.setattr(simulate, "next_params", next_params)
         monkeypatch.setattr(simulate, "sample_outcome", lambda rng, b, p: 1 if p == bad else real_sample(rng, b, p))
+        # the caller's errstate holds in the worker that meets the nan
         with np.errstate(invalid="ignore"), pytest.raises(error, match=message) as info:
             run_trials(_cfg("kpe", n_measurements=4), range(3))
-        assert type(info.value) is error and len(calls) == 7
+        assert type(info.value) is error and calls[0] == 4 and calls[1] == 3
+        assert set(calls) <= {0, 1, 2}
+
+
+class TestPooledTrials:
+    # the blind kinds run each trial alone on a pool of one worker per
+    # usable CPU; the CPU set is patched where the pool reads it
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @pytest.mark.parametrize("kind", ["kpe", "random"])
+    def test_output_does_not_depend_on_the_cpu_count(self, kind, monkeypatch):
+        cfg = _cfg(kind, n_measurements=5, n_realizations=6)
+        alone = [run_trial(cfg, i) for i in range(6)]
+        real, threads, lock = simulate.run_trial, {}, threading.Lock()
+
+        def recording(cfg, i):
+            with lock:
+                threads[i] = threading.get_ident()
+            return real(cfg, i)
+
+        monkeypatch.setattr(simulate, "run_trial", recording)
+        # more workers than this host may have cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in (1, 2, 3):
+                self._cpus(monkeypatch, n)
+                threads.clear()
+                assert run_trials(cfg, range(6)) == alone
+                assert sorted(threads) == list(range(6)) and len(set(threads.values())) <= n
+                threads.clear()
+                assert run_trials(cfg, [5, 1, 3]) == [alone[5], alone[1], alone[3]]
+                assert sorted(threads) == [1, 3, 5] and len(set(threads.values())) <= n
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cpu_count_is_the_fallback(self, monkeypatch):
+        # where the OS has no affinity set, the machine's CPU count sizes the pool
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulate._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert simulate._usable_cpus() == 3
+        cfg = _cfg("random", n_measurements=3)
+        assert run_trials(cfg, range(4)) == [run_trial(cfg, i) for i in range(4)]
+
+    def test_the_lowest_failing_trial_is_named(self, monkeypatch):
+        # trial 1 waits at its last update until trial 3 has failed at its
+        # first, on the other worker; the serial loop would name trial 1,
+        # and so does the pool
+        self._cpus(monkeypatch, 2)
+        cfg = _cfg("kpe", n_measurements=6)
+        tag, real, counts, lock = _tag_trials(monkeypatch), simulate.bayes_update, collections.Counter(), threading.Lock()
+        trial_3_failed = threading.Event()
+
+        def flaky(d, p, x):
+            with lock:
+                counts[tag.trial] += 1
+                step = counts[tag.trial]
+            if (tag.trial, step) == (3, 1):
+                trial_3_failed.set()
+                raise ZeroEvidence("injected")
+            if (tag.trial, step) == (1, 6):
+                assert trial_3_failed.wait(timeout=10.0)
+                raise ZeroEvidence("injected")
+            return real(d, p, x)
+
+        monkeypatch.setattr(simulate, "bayes_update", flaky)
+        with pytest.raises(ZeroEvidence, match=r"^trial 1, step 6, master_seed 99: injected$"):
+            run_trials(cfg, range(5))
+        assert trial_3_failed.is_set()
+
+    def test_the_callers_errstate_reaches_every_trial(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        tag, seen, real = _tag_trials(monkeypatch), {}, simulate.bayes_update
+
+        def update(d, p, x):
+            seen[tag.trial] = np.geterr()
+            return real(d, p, x)
+
+        monkeypatch.setattr(simulate, "bayes_update", update)
+        cfg = _cfg("random", n_measurements=2, n_realizations=4)
+        with np.errstate(divide="raise", invalid="ignore", under="warn"):
+            expect = np.geterr()
+            run_trials(cfg, range(4))
+        assert seen == {i: expect for i in range(4)}
+        run_trials(cfg, range(4))
+        assert seen == {i: np.geterr() for i in range(4)}
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_worker_outlives_the_call(self, fails, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        start = threading.active_count()
+
+        def failing(d, p, x):
+            raise ZeroEvidence("injected")
+
+        if fails:
+            monkeypatch.setattr(simulate, "bayes_update", failing)
+        cfg = _cfg("kpe", n_measurements=3, n_realizations=6)
+        if fails:
+            with pytest.raises(ZeroEvidence, match=r"^trial 0, step 1, master_seed 99: injected$"):
+                run_trials(cfg, range(6))
+        else:
+            assert len(run_trials(cfg, range(6))) == 6
+        assert threading.active_count() == start
+
+    def test_a_failure_cancels_the_trials_not_started(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        tag, real, started, lock = _tag_trials(monkeypatch), simulate.bayes_update, set(), threading.Lock()
+
+        def update(d, p, x):
+            with lock:
+                first = tag.trial not in started
+                started.add(tag.trial)
+            if tag.trial == 0 and first:
+                raise ZeroEvidence("injected")
+            return real(d, p, x)
+
+        monkeypatch.setattr(simulate, "bayes_update", update)
+        cfg = _cfg("kpe", n_measurements=30, n_realizations=32)
+        with pytest.raises(ZeroEvidence, match=r"^trial 0, step 1, master_seed 99: injected$"):
+            run_trials(cfg, range(32))
+        assert 0 in started and len(started) < 32, sorted(started)
 
 
 class TestPrefixSharing:
